@@ -7,15 +7,16 @@
 // The layer's contract: Engine evaluates a normalized query exactly per the
 // xq semantics, resolving fn:doc through its Resolver (with single-flighted
 // caching, so equal URIs observe equal node identities) and delegating
-// every execute-at to its RemoteCaller. The caller hierarchy is optional
-// capability detection: a plain RemoteCaller dispatches sequentially, a
-// ScatterCaller dispatches a variable-target loop as one concurrent wave of
-// per-peer Bulk RPCs (with Engine.Replicas naming failover copies per
-// target), and a StreamCaller additionally yields per-lane results
-// incrementally; whichever is plugged in, gathered results are identical
-// and arrive in loop order. Evaluation is deterministic — the property the
-// fault-tolerance layer relies on when it gathers a replica's answer in
-// place of a dead primary's.
+// every execute-at to its RemoteCaller. A RemoteCaller has one method:
+// dispatch N batches — one Bulk RPC per destination peer — and yield each
+// lane's results incrementally. A single call is one batch of one
+// iteration, a loop whose target is fixed is one batch, and a variable-
+// target loop is one concurrent wave of per-peer batches (with
+// Engine.Replicas naming failover copies per target); the evaluator reads
+// every lane's chunks to the end, in batch order, and reassembles results
+// in loop order. Evaluation is deterministic — the property the fault-
+// tolerance layer relies on when it gathers a replica's answer in place of
+// a dead primary's.
 package eval
 
 import (
@@ -50,21 +51,25 @@ type ResolverFunc func(uri string) (*xdm.Document, error)
 // ResolveDoc implements Resolver.
 func (f ResolverFunc) ResolveDoc(uri string) (*xdm.Document, error) { return f(uri) }
 
-// RemoteCaller executes a decomposed subquery on a remote peer. The xrpc
+// RemoteCaller executes decomposed subqueries on remote peers. The xrpc
 // package provides the real implementation; tests may supply fakes.
 type RemoteCaller interface {
-	// CallRemote ships x.Body to target and returns the result sequence.
-	// params holds the evaluated values of x.Params in order.
-	CallRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error)
-	// CallRemoteBulk performs Bulk RPC: one network interaction carrying
-	// the parameter bindings of every loop iteration. It returns one result
-	// sequence per iteration.
-	CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error)
+	// Dispatch ships x.Body as one Bulk RPC per batch and yields each
+	// batch's results incrementally over its own bounded channel, so the
+	// evaluator processes finished lanes while slower peers are still
+	// computing and transferring. A single call is one batch of one
+	// iteration, a loop-lifted call one batch. Implementations must not
+	// fail the whole dispatch because one peer failed — a lane's failure is
+	// its own terminal chunk. The returned cancel function must release
+	// every in-flight lane (producers blocked on a full channel included);
+	// the consumer calls it once it stops reading — whether it drained
+	// every lane or aborted early on an error.
+	Dispatch(x *xq.XRPCExpr, batches []ScatterBatch) (lanes []<-chan StreamChunk, cancel func())
 }
 
 // ScatterBatch groups the loop iterations bound for one destination peer of
-// a variable-target loop (`for $p in $peers return execute at $p {...}`).
-// Iterations appear in original loop order relative to each other.
+// a dispatch. Iterations appear in original loop order relative to each
+// other.
 type ScatterBatch struct {
 	Target     string
 	Iterations [][]xdm.Sequence
@@ -75,25 +80,13 @@ type ScatterBatch struct {
 	Replicas []string
 }
 
-// ScatterCaller is an optional RemoteCaller extension: an implementation
-// that can dispatch one Bulk RPC per distinct peer concurrently (scatter-
-// gather). Results and errors are positional per batch; a batch's result
-// holds one sequence per iteration. Implementations must not fail the whole
-// wave because one peer failed — per-peer errors travel in the error slice.
-// When the configured RemoteCaller does not implement ScatterCaller the
-// evaluator falls back to dispatching batches sequentially.
-type ScatterCaller interface {
-	CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error)
-}
-
-// StreamChunk is one increment of a streamed scatter lane: a run of
-// consecutive result items belonging to one iteration of the lane's batch.
-// A lane yields chunks with nondecreasing Iteration (all chunks of an
-// iteration precede the first chunk of the next), every iteration of the
-// batch appears in at least one chunk (possibly with an empty Items run),
-// and the lane's channel is closed after the final chunk. A chunk with Err
-// set is terminal for the lane: the batch failed and no further chunks
-// follow.
+// StreamChunk is one increment of a dispatched lane: a run of consecutive
+// result items belonging to one iteration of the lane's batch. A lane
+// yields chunks with nondecreasing Iteration (all chunks of an iteration
+// precede the first chunk of the next), every iteration of the batch
+// appears in at least one chunk (possibly with an empty Items run), and the
+// lane's channel is closed after the final chunk. A chunk with Err set is
+// terminal for the lane: the batch failed and no further chunks follow.
 type StreamChunk struct {
 	// Iteration indexes into the batch's Iterations.
 	Iteration int
@@ -101,17 +94,6 @@ type StreamChunk struct {
 	Items xdm.Sequence
 	// Err, when non-nil, reports the lane's failure (terminal).
 	Err error
-}
-
-// StreamCaller is an optional ScatterCaller extension: dispatch like
-// CallRemoteScatter, but yield each batch's results incrementally over a
-// bounded channel per batch, so the evaluator can process finished lanes
-// while slower peers are still computing and transferring. The returned
-// cancel function must release every in-flight lane (producers blocked on a
-// full channel included); the consumer calls it once it stops reading —
-// whether it drained every lane or aborted early on an error.
-type StreamCaller interface {
-	CallRemoteScatterStream(x *xq.XRPCExpr, batches []ScatterBatch) (lanes []<-chan StreamChunk, cancel func())
 }
 
 // StaticContext carries the static-context values that XRPC propagates to
@@ -183,9 +165,6 @@ type Stats struct {
 	// ScatterWaves counts variable-target loops dispatched as one
 	// concurrent wave of per-peer Bulk RPCs.
 	ScatterWaves int
-	// StreamedWaves counts the scatter waves consumed incrementally through
-	// a StreamCaller (a subset of ScatterWaves).
-	StreamedWaves int
 	// DeadlineAborts counts evaluations this engine cut short because their
 	// deadline passed — on a peer, server-side work abandoned because the
 	// originator's budget expired (the observable half of deadline
@@ -203,7 +182,6 @@ func (s *Stats) Add(o Stats) {
 	s.RemoteCalls += o.RemoteCalls
 	s.BulkCalls += o.BulkCalls
 	s.ScatterWaves += o.ScatterWaves
-	s.StreamedWaves += o.StreamedWaves
 	s.DeadlineAborts += o.DeadlineAborts
 	s.Compilations += o.Compilations
 }

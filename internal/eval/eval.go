@@ -258,45 +258,41 @@ func (c *context) evalBulk(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (xdm.
 	if err != nil {
 		return nil, err
 	}
-	iterations := make([][]xdm.Sequence, 0, len(in))
+	batch := ScatterBatch{Target: target, Iterations: make([][]xdm.Sequence, 0, len(in))}
 	for _, it := range in {
-		ic := c.bind(v.Var, xdm.Singleton(it))
-		params := make([]xdm.Sequence, len(x.Params))
-		for i, p := range x.Params {
-			val, ok := ic.lookup(p.Ref)
-			if !ok {
-				return nil, fmt.Errorf("eval: XRPC parameter references unbound $%s", p.Ref)
-			}
-			params[i] = val
+		params, err := c.bind(v.Var, xdm.Singleton(it)).xrpcParams(x)
+		if err != nil {
+			return nil, err
 		}
-		iterations = append(iterations, params)
+		batch.Iterations = append(batch.Iterations, params)
 	}
 	c.eng.mu.Lock()
 	c.eng.Stats.BulkCalls++
 	c.eng.mu.Unlock()
-	results, err := c.eng.Remote.CallRemoteBulk(target, x, iterations)
-	if err != nil {
-		return nil, err
+	out, _, err := c.gather(x, []ScatterBatch{batch}, nil, len(in))
+	return out, err
+}
+
+// xrpcParams looks up the values of x's parameters in c.
+func (c *context) xrpcParams(x *xq.XRPCExpr) ([]xdm.Sequence, error) {
+	params := make([]xdm.Sequence, len(x.Params))
+	for i, p := range x.Params {
+		val, ok := c.lookup(p.Ref)
+		if !ok {
+			return nil, fmt.Errorf("eval: XRPC parameter references unbound $%s", p.Ref)
+		}
+		params[i] = val
 	}
-	if len(results) != len(iterations) {
-		return nil, fmt.Errorf("eval: bulk RPC returned %d results for %d calls", len(results), len(iterations))
-	}
-	out := xdm.Sequence{}
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out, nil
+	return params, nil
 }
 
 // evalScatter executes a for-loop whose body is a remote call with a target
 // that varies per iteration (`for $p in $peers return execute at $p {...}`).
 // The target is evaluated per iteration, iterations are partitioned by
 // destination peer (batches ordered by each peer's first appearance in the
-// loop), one Bulk RPC per distinct peer is dispatched — concurrently when
-// the RemoteCaller implements ScatterCaller — and the per-iteration results
-// are reassembled in original loop order. Per-peer failures surface
-// deterministically: the error of the batch whose peer appeared first in the
-// loop wins, independent of goroutine scheduling.
+// loop), one Bulk RPC per distinct peer is dispatched concurrently, and the
+// per-iteration results are reassembled in original loop order. Per-peer
+// failures surface deterministically (see gather).
 func (c *context) evalScatter(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (xdm.Sequence, error) {
 	if len(in) == 0 {
 		return xdm.EmptySequence, nil
@@ -314,13 +310,9 @@ func (c *context) evalScatter(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (x
 		if err != nil {
 			return nil, err
 		}
-		params := make([]xdm.Sequence, len(x.Params))
-		for pi, p := range x.Params {
-			val, ok := ic.lookup(p.Ref)
-			if !ok {
-				return nil, fmt.Errorf("eval: XRPC parameter references unbound $%s", p.Ref)
-			}
-			params[pi] = val
+		params, err := ic.xrpcParams(x)
+		if err != nil {
+			return nil, err
 		}
 		b, seen := batchOf[target]
 		if !seen {
@@ -332,99 +324,56 @@ func (c *context) evalScatter(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (x
 		batches[b].Iterations = append(batches[b].Iterations, params)
 		indices[b] = append(indices[b], i)
 	}
-	if sc, ok := c.eng.Remote.(StreamCaller); ok {
-		c.eng.mu.Lock()
-		c.eng.Stats.BulkCalls += len(batches)
-		c.eng.Stats.ScatterWaves++
-		c.eng.Stats.StreamedWaves++
-		c.eng.mu.Unlock()
-		return c.gatherStreamed(sc, x, batches, indices, len(in))
-	}
-	results := make([][]xdm.Sequence, len(batches))
-	errs := make([]error, len(batches))
-	if sc, ok := c.eng.Remote.(ScatterCaller); ok {
-		c.eng.mu.Lock()
-		c.eng.Stats.BulkCalls += len(batches)
-		c.eng.Stats.ScatterWaves++
-		c.eng.mu.Unlock()
-		results, errs = sc.CallRemoteScatter(x, batches)
-		if len(results) != len(batches) || len(errs) != len(batches) {
-			return nil, fmt.Errorf("eval: scatter dispatch returned %d results / %d errors for %d batches",
-				len(results), len(errs), len(batches))
-		}
-	} else {
-		for b, batch := range batches {
-			c.eng.mu.Lock()
-			c.eng.Stats.BulkCalls++
-			c.eng.mu.Unlock()
-			results[b], errs[b] = c.eng.Remote.CallRemoteBulk(batch.Target, x, batch.Iterations)
-			if errs[b] != nil {
-				break // earlier batches succeeded, so this error wins anyway
-			}
-		}
-	}
-	// The error of the batch whose peer appeared first in the loop wins —
-	// unless that error is only the echo of the dispatcher cancelling the
-	// lane because a later batch genuinely failed: then the genuine failure
-	// (the first one in batch order) is the deterministic winner.
-	errB := -1
-	for b, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errB < 0 {
-			errB = b
-		}
-		if !errors.Is(err, stdcontext.Canceled) {
-			errB = b
-			break
-		}
-	}
-	if errB >= 0 {
-		return nil, fmt.Errorf("eval: scatter to %s: %w", batches[errB].Target, errs[errB])
-	}
-	perIter := make([]xdm.Sequence, len(in))
-	for b := range batches {
-		if len(results[b]) != len(batches[b].Iterations) {
-			return nil, fmt.Errorf("eval: bulk RPC to %s returned %d results for %d calls",
-				batches[b].Target, len(results[b]), len(batches[b].Iterations))
-		}
-		for k, res := range results[b] {
-			perIter[indices[b][k]] = res
-		}
-	}
-	out := xdm.Sequence{}
-	for _, r := range perIter {
-		out = append(out, r...)
+	c.eng.mu.Lock()
+	c.eng.Stats.BulkCalls += len(batches)
+	c.eng.Stats.ScatterWaves++
+	c.eng.mu.Unlock()
+	out, b, err := c.gather(x, batches, indices, len(in))
+	if err != nil {
+		return nil, fmt.Errorf("eval: scatter to %s: %w", batches[b].Target, err)
 	}
 	return out, nil
 }
 
-// gatherStreamed consumes a streamed scatter dispatch: one bounded chunk
-// channel per batch, drained in batch order — the same order the dispatcher
-// admits lanes into its pool, so the lane being drained is always running
-// and a lane blocked on its full buffer can never starve it. Chunks are
-// decoded and placed into their loop positions as they arrive, overlapping
+// gather dispatches batches through the RemoteCaller and reads every lane's
+// chunks to the end, in batch order — the order the dispatcher admits lanes
+// into its pool, so the lane being drained is always running and a lane
+// blocked on its full buffer can never starve it. Chunks are placed into
+// their loop positions as they arrive (indices maps a batch's iteration to
+// its position; nil means the single batch is the loop), overlapping
 // still-running peers with local processing of finished lanes; beyond the
-// accumulating result itself the originator holds only the in-flight
-// chunks of each lane's bounded buffer.
+// accumulating result itself the originator holds only the in-flight chunks
+// of each lane's bounded buffer.
 //
-// Errors surface deterministically as the first failing batch in batch
-// order — the rule of the gather-whole path — because every earlier lane
-// was drained to completion before the failing one was read.
-func (c *context) gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []ScatterBatch, indices [][]int, total int) (xdm.Sequence, error) {
-	lanes, cancel := sc.CallRemoteScatterStream(x, batches)
-	defer cancel()
+// On failure it returns the index of the failing batch with its error. The
+// error of the first failing batch in batch order wins — unless it is only
+// the echo of the dispatcher cancelling the lane because a later batch
+// genuinely failed: then the first genuine failure in batch order wins.
+func (c *context) gather(x *xq.XRPCExpr, batches []ScatterBatch, indices [][]int, total int) (xdm.Sequence, int, error) {
+	lanes, cancel := c.eng.Remote.Dispatch(x, batches)
+	// Whatever the outcome, every lane has ended — its metrics and spans
+	// recorded — by the time the evaluator moves on.
+	defer func() {
+		cancel()
+		for _, lane := range lanes {
+			for range lane {
+			}
+		}
+	}()
 	if len(lanes) != len(batches) {
-		return nil, fmt.Errorf("eval: streamed scatter returned %d lanes for %d batches", len(lanes), len(batches))
+		return nil, 0, fmt.Errorf("eval: dispatch returned %d lanes for %d batches", len(lanes), len(batches))
 	}
 	perIter := make([]xdm.Sequence, total)
+	echoB := -1
+	var echo error
 	for b := range lanes {
 		expect := len(batches[b].Iterations)
 		cur, seen := 0, false
+		var laneErr error
 		for chunk := range lanes[b] {
 			if chunk.Err != nil {
-				return nil, fmt.Errorf("eval: scatter to %s: %w", batches[b].Target, chunk.Err)
+				laneErr = chunk.Err
+				break
 			}
 			switch {
 			case chunk.Iteration == cur:
@@ -432,29 +381,44 @@ func (c *context) gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []Scat
 			case chunk.Iteration == cur+1 && seen:
 				cur++
 			case chunk.Iteration > cur:
-				return nil, fmt.Errorf("eval: scatter to %s: stream skipped iteration %d",
-					batches[b].Target, cur)
+				return nil, b, fmt.Errorf("stream skipped iteration %d", cur)
 			default:
-				return nil, fmt.Errorf("eval: scatter to %s: stream delivered iteration %d after %d",
-					batches[b].Target, chunk.Iteration, cur)
+				return nil, b, fmt.Errorf("stream delivered iteration %d after %d", chunk.Iteration, cur)
 			}
 			if chunk.Iteration >= expect {
-				return nil, fmt.Errorf("eval: scatter to %s: stream delivered iteration %d of %d",
-					batches[b].Target, chunk.Iteration, expect)
+				return nil, b, fmt.Errorf("stream delivered iteration %d of %d", chunk.Iteration, expect)
 			}
-			i := indices[b][chunk.Iteration]
-			perIter[i] = append(perIter[i], chunk.Items...)
+			i := chunk.Iteration
+			if indices != nil {
+				i = indices[b][i]
+			}
+			if perIter[i] == nil {
+				// The first run of an iteration is kept, not copied; capping
+				// its capacity makes a later run's append copy instead of
+				// writing into the lane's backing array.
+				perIter[i] = chunk.Items[:len(chunk.Items):len(chunk.Items)]
+			} else {
+				perIter[i] = append(perIter[i], chunk.Items...)
+			}
 		}
-		if !seen || cur != expect-1 {
-			return nil, fmt.Errorf("eval: scatter to %s: stream ended after iteration %d of %d",
-				batches[b].Target, cur, expect)
+		switch {
+		case laneErr == nil && echoB < 0 && (!seen || cur != expect-1):
+			return nil, b, fmt.Errorf("stream ended after iteration %d of %d", cur, expect)
+		case laneErr == nil:
+		case !errors.Is(laneErr, stdcontext.Canceled):
+			return nil, b, laneErr
+		case echoB < 0:
+			echoB, echo = b, laneErr
 		}
+	}
+	if echoB >= 0 {
+		return nil, echoB, echo
 	}
 	out := xdm.Sequence{}
 	for _, r := range perIter {
 		out = append(out, r...)
 	}
-	return out, nil
+	return out, 0, nil
 }
 
 func (c *context) evalXRPC(x *xq.XRPCExpr) (xdm.Sequence, error) {
@@ -469,18 +433,15 @@ func (c *context) evalXRPC(x *xq.XRPCExpr) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := make([]xdm.Sequence, len(x.Params))
-	for i, p := range x.Params {
-		val, ok := c.lookup(p.Ref)
-		if !ok {
-			return nil, fmt.Errorf("eval: XRPC parameter references unbound $%s", p.Ref)
-		}
-		params[i] = val
+	params, err := c.xrpcParams(x)
+	if err != nil {
+		return nil, err
 	}
 	c.eng.mu.Lock()
 	c.eng.Stats.RemoteCalls++
 	c.eng.mu.Unlock()
-	return c.eng.Remote.CallRemote(target, x, params)
+	out, _, err := c.gather(x, []ScatterBatch{{Target: target, Iterations: [][]xdm.Sequence{params}}}, nil, 1)
+	return out, err
 }
 
 func (c *context) evalQuantified(v *xq.QuantifiedExpr) (xdm.Sequence, error) {

@@ -370,8 +370,11 @@ func TestBulkRPCPathThroughFake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fake.bulkCalls != 1 || fake.singleCalls != 0 {
-		t.Errorf("bulk=%d single=%d, want 1/0", fake.bulkCalls, fake.singleCalls)
+	if fake.dispatches != 1 || len(fake.batches) != 1 || len(fake.batches[0].Iterations) != 3 {
+		t.Errorf("dispatches=%d batches=%+v, want one batch of 3 iterations", fake.dispatches, fake.batches)
+	}
+	if st := e.StatsSnapshot(); st.BulkCalls != 1 || st.RemoteCalls != 0 {
+		t.Errorf("bulk=%d single=%d, want 1/0", st.BulkCalls, st.RemoteCalls)
 	}
 	if serialize(res) != "2 4 6" {
 		t.Errorf("bulk result = %s", serialize(res))
@@ -389,8 +392,11 @@ func TestSingleRPCThroughFake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fake.singleCalls != 1 {
-		t.Errorf("single calls = %d", fake.singleCalls)
+	if fake.dispatches != 1 || len(fake.batches) != 1 || len(fake.batches[0].Iterations) != 1 {
+		t.Errorf("dispatches=%d batches=%+v, want one batch of one iteration", fake.dispatches, fake.batches)
+	}
+	if st := e.StatsSnapshot(); st.RemoteCalls != 1 {
+		t.Errorf("single calls = %d", st.RemoteCalls)
 	}
 	if serialize(res) != "42" {
 		t.Errorf("result = %s", serialize(res))
@@ -398,27 +404,59 @@ func TestSingleRPCThroughFake(t *testing.T) {
 }
 
 // fakeRemote evaluates the shipped body locally (params bound), emulating a
-// perfectly transparent remote peer.
+// perfectly transparent remote peer. Each lane yields every iteration's
+// result split into chunks of splitAt items, optionally failing configured
+// peers after a configured number of good iterations; the remaining knobs
+// switch it into protocol-violation modes.
 type fakeRemote struct {
-	singleCalls, bulkCalls int
+	dispatches int
+	batches    []ScatterBatch // of the latest dispatch
+	cancelled  bool
+	splitAt    int
+	failPeers  map[string]int // peer -> iterations delivered before failing
+	// skipIteration never mentions iteration 1; dropLast closes each lane
+	// before its final iteration.
+	skipIteration, dropLast bool
 }
 
-func (f *fakeRemote) CallRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
-	f.singleCalls++
-	return evalShipped(x, params)
-}
-
-func (f *fakeRemote) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
-	f.bulkCalls++
-	out := make([]xdm.Sequence, len(iterations))
-	for i, params := range iterations {
-		r, err := evalShipped(x, params)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+func (f *fakeRemote) Dispatch(x *xq.XRPCExpr, batches []ScatterBatch) ([]<-chan StreamChunk, func()) {
+	f.dispatches++
+	f.batches = batches
+	lanes := make([]<-chan StreamChunk, len(batches))
+	for b, batch := range batches {
+		ch := make(chan StreamChunk, 2)
+		lanes[b] = ch
+		go func(batch ScatterBatch, ch chan StreamChunk) {
+			defer close(ch)
+			failAfter, fails := f.failPeers[batch.Target]
+			for it, params := range batch.Iterations {
+				if fails && it >= failAfter {
+					ch <- StreamChunk{Err: fmt.Errorf("peer %s down", batch.Target)}
+					return
+				}
+				if (f.skipIteration && it == 1) || (f.dropLast && it == len(batch.Iterations)-1) {
+					continue
+				}
+				items, err := evalShipped(x, params)
+				if err != nil {
+					ch <- StreamChunk{Err: err}
+					return
+				}
+				split := max(f.splitAt, 1)
+				sent := false
+				for len(items) > 0 {
+					n := min(split, len(items))
+					ch <- StreamChunk{Iteration: it, Items: items[:n]}
+					items = items[n:]
+					sent = true
+				}
+				if !sent {
+					ch <- StreamChunk{Iteration: it, Items: nil}
+				}
+			}
+		}(batch, ch)
 	}
-	return out, nil
+	return lanes, func() { f.cancelled = true }
 }
 
 func evalShipped(x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {

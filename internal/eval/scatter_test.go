@@ -2,45 +2,19 @@ package eval
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"distxq/internal/xdm"
-	"distxq/internal/xq"
 )
-
-// scatterFake records scatter dispatches; it evaluates shipped bodies
-// locally like fakeRemote, and can be told to fail for specific peers.
-type scatterFake struct {
-	fakeRemote
-	scatterCalls int
-	batches      []ScatterBatch
-	failPeers    map[string]bool
-}
-
-func (f *scatterFake) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error) {
-	f.scatterCalls++
-	f.batches = batches
-	results := make([][]xdm.Sequence, len(batches))
-	errs := make([]error, len(batches))
-	for b, batch := range batches {
-		if f.failPeers[batch.Target] {
-			errs[b] = fmt.Errorf("peer %s down", batch.Target)
-			continue
-		}
-		results[b], errs[b] = f.fakeRemote.CallRemoteBulk(batch.Target, x, batch.Iterations)
-	}
-	return results, errs
-}
 
 const scatterSrc = `
 	declare function f($x as xs:string) as item()* { $x };
 	for $p in ("a", "b", "a", "c", "b", "a") return execute at {$p} { f($p) }`
 
 func TestScatterPartitionsByPeerPreservingOrder(t *testing.T) {
-	fake := &scatterFake{}
+	fake := &fakeRemote{}
 	e := NewEngine(nil)
 	e.Remote = fake
 	res, err := e.QueryString(scatterSrc)
@@ -50,8 +24,8 @@ func TestScatterPartitionsByPeerPreservingOrder(t *testing.T) {
 	if got := serialize(res); got != "a b a c b a" {
 		t.Errorf("results must reassemble in original loop order, got %q", got)
 	}
-	if fake.scatterCalls != 1 {
-		t.Fatalf("scatter dispatches = %d, want 1", fake.scatterCalls)
+	if fake.dispatches != 1 {
+		t.Fatalf("scatter dispatches = %d, want 1", fake.dispatches)
 	}
 	// Batches ordered by first appearance of each peer; iteration counts
 	// match each peer's share of the loop.
@@ -73,29 +47,11 @@ func TestScatterPartitionsByPeerPreservingOrder(t *testing.T) {
 	}
 }
 
-func TestScatterFallsBackToSequentialBulk(t *testing.T) {
-	// A RemoteCaller without the ScatterCaller extension still serves
-	// variable-target loops: one sequential CallRemoteBulk per peer.
-	fake := &fakeRemote{}
-	e := NewEngine(nil)
-	e.Remote = fake
-	res, err := e.QueryString(scatterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(res); got != "a b a c b a" {
-		t.Errorf("fallback result = %q", got)
-	}
-	if fake.bulkCalls != 3 || fake.singleCalls != 0 {
-		t.Errorf("bulk=%d single=%d, want 3/0", fake.bulkCalls, fake.singleCalls)
-	}
-}
-
 func TestScatterErrorIsDeterministic(t *testing.T) {
 	// Both b and c fail; the surfaced error must always name b — the failed
 	// peer that appears first in the loop — regardless of scheduling.
 	for i := 0; i < 10; i++ {
-		fake := &scatterFake{failPeers: map[string]bool{"b": true, "c": true}}
+		fake := &fakeRemote{failPeers: map[string]int{"b": 0, "c": 0}}
 		e := NewEngine(nil)
 		e.Remote = fake
 		_, err := e.QueryString(scatterSrc)
@@ -109,7 +65,7 @@ func TestScatterErrorIsDeterministic(t *testing.T) {
 }
 
 func TestScatterEmptyLoopSkipsDispatch(t *testing.T) {
-	fake := &scatterFake{}
+	fake := &fakeRemote{}
 	e := NewEngine(nil)
 	e.Remote = fake
 	res, err := e.QueryString(`
@@ -118,32 +74,19 @@ func TestScatterEmptyLoopSkipsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 0 || fake.scatterCalls != 0 || fake.bulkCalls != 0 {
-		t.Errorf("empty loop: res=%d scatter=%d bulk=%d", len(res), fake.scatterCalls, fake.bulkCalls)
+	if len(res) != 0 || fake.dispatches != 0 {
+		t.Errorf("empty loop: res=%d dispatches=%d", len(res), fake.dispatches)
 	}
 }
 
 func TestScatterResultCountMismatchIsAnError(t *testing.T) {
-	fake := &shortScatter{}
+	fake := &fakeRemote{dropLast: true}
 	e := NewEngine(nil)
 	e.Remote = fake
 	_, err := e.QueryString(scatterSrc)
-	if err == nil || !strings.Contains(err.Error(), "results for") {
+	if err == nil || !strings.Contains(err.Error(), "ended after") {
 		t.Errorf("want result-count mismatch error, got %v", err)
 	}
-}
-
-// shortScatter returns one result fewer than iterations per batch.
-type shortScatter struct{ fakeRemote }
-
-func (s *shortScatter) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error) {
-	results := make([][]xdm.Sequence, len(batches))
-	errs := make([]error, len(batches))
-	for b, batch := range batches {
-		res, err := s.fakeRemote.CallRemoteBulk(batch.Target, x, batch.Iterations)
-		results[b], errs[b] = res[:len(res)-1], err
-	}
-	return results, errs
 }
 
 // TestDocSingleFlight: concurrent doc() resolutions of one URI must share a

@@ -1,79 +1,13 @@
 package eval
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
-
-	"distxq/internal/xdm"
-	"distxq/internal/xq"
 )
-
-// streamFake implements StreamCaller: it evaluates shipped bodies locally
-// like fakeRemote and yields each iteration's result split into chunks of
-// splitAt items, optionally failing configured peers after a configured
-// number of good iterations.
-type streamFake struct {
-	fakeRemote
-	mu        sync.Mutex // fakeRemote counts calls; lanes run concurrently
-	splitAt   int
-	failPeers map[string]int // peer -> iterations delivered before failing
-	cancelled bool
-	// misbehave switches the fake into protocol-violation mode.
-	skipIteration bool
-}
-
-func (f *streamFake) CallRemoteScatterStream(x *xq.XRPCExpr, batches []ScatterBatch) ([]<-chan StreamChunk, func()) {
-	lanes := make([]<-chan StreamChunk, len(batches))
-	for b, batch := range batches {
-		ch := make(chan StreamChunk, 2)
-		lanes[b] = ch
-		go func(batch ScatterBatch, ch chan StreamChunk) {
-			defer close(ch)
-			failAfter, fails := -1, false
-			if n, ok := f.failPeers[batch.Target]; ok {
-				failAfter, fails = n, true
-			}
-			for it, params := range batch.Iterations {
-				if fails && it >= failAfter {
-					ch <- StreamChunk{Err: fmt.Errorf("peer %s down", batch.Target)}
-					return
-				}
-				if f.skipIteration && it == 1 {
-					continue // protocol violation: iteration never mentioned
-				}
-				f.mu.Lock()
-				res, err := f.fakeRemote.CallRemoteBulk(batch.Target, x, [][]xdm.Sequence{params})
-				f.mu.Unlock()
-				if err != nil {
-					ch <- StreamChunk{Err: err}
-					return
-				}
-				items := res[0]
-				split := f.splitAt
-				if split <= 0 {
-					split = 1
-				}
-				sent := false
-				for len(items) > 0 {
-					n := min(split, len(items))
-					ch <- StreamChunk{Iteration: it, Items: items[:n]}
-					items = items[n:]
-					sent = true
-				}
-				if !sent {
-					ch <- StreamChunk{Iteration: it, Items: nil}
-				}
-			}
-		}(batch, ch)
-	}
-	return lanes, func() { f.cancelled = true }
-}
 
 func TestStreamScatterReassemblesLoopOrder(t *testing.T) {
 	for _, split := range []int{1, 2, 100} {
-		fake := &streamFake{splitAt: split}
+		fake := &fakeRemote{splitAt: split}
 		e := NewEngine(nil)
 		e.Remote = fake
 		res, err := e.QueryString(scatterSrc)
@@ -87,8 +21,8 @@ func TestStreamScatterReassemblesLoopOrder(t *testing.T) {
 			t.Errorf("split %d: consumer must release the dispatch via cancel()", split)
 		}
 		st := e.StatsSnapshot()
-		if st.StreamedWaves != 1 || st.ScatterWaves != 1 {
-			t.Errorf("split %d: stats = %+v, want one streamed scatter wave", split, st)
+		if st.ScatterWaves != 1 {
+			t.Errorf("split %d: stats = %+v, want one scatter wave", split, st)
 		}
 		e.ResetDocCache()
 	}
@@ -97,7 +31,7 @@ func TestStreamScatterReassemblesLoopOrder(t *testing.T) {
 // TestStreamScatterSplitsItemRuns: a single iteration whose result spans
 // many chunks must concatenate byte-identically.
 func TestStreamScatterSplitsItemRuns(t *testing.T) {
-	fake := &streamFake{splitAt: 1}
+	fake := &fakeRemote{splitAt: 1}
 	e := NewEngine(nil)
 	e.Remote = fake
 	res, err := e.QueryString(`
@@ -112,7 +46,7 @@ func TestStreamScatterSplitsItemRuns(t *testing.T) {
 }
 
 func TestStreamScatterEmptyIteration(t *testing.T) {
-	fake := &streamFake{splitAt: 2}
+	fake := &fakeRemote{splitAt: 2}
 	e := NewEngine(nil)
 	e.Remote = fake
 	res, err := e.QueryString(`
@@ -131,7 +65,7 @@ func TestStreamScatterEmptyIteration(t *testing.T) {
 // always released via cancel().
 func TestStreamScatterErrorDeterministic(t *testing.T) {
 	for i := 0; i < 25; i++ {
-		fake := &streamFake{splitAt: 1, failPeers: map[string]int{"b": 0, "c": 0}}
+		fake := &fakeRemote{splitAt: 1, failPeers: map[string]int{"b": 0, "c": 0}}
 		e := NewEngine(nil)
 		e.Remote = fake
 		_, err := e.QueryString(scatterSrc)
@@ -147,7 +81,7 @@ func TestStreamScatterErrorDeterministic(t *testing.T) {
 // TestStreamScatterMidLaneFailure: a lane that fails after delivering some
 // iterations surfaces its error when the loop reaches the failed iteration.
 func TestStreamScatterMidLaneFailure(t *testing.T) {
-	fake := &streamFake{splitAt: 1, failPeers: map[string]int{"a": 2}}
+	fake := &fakeRemote{splitAt: 1, failPeers: map[string]int{"a": 2}}
 	e := NewEngine(nil)
 	e.Remote = fake
 	_, err := e.QueryString(scatterSrc) // "a" appears at loop positions 0, 2, 5
@@ -157,7 +91,7 @@ func TestStreamScatterMidLaneFailure(t *testing.T) {
 }
 
 func TestStreamScatterSkippedIterationRejected(t *testing.T) {
-	fake := &streamFake{splitAt: 1, skipIteration: true}
+	fake := &fakeRemote{splitAt: 1, skipIteration: true}
 	e := NewEngine(nil)
 	e.Remote = fake
 	_, err := e.QueryString(scatterSrc)

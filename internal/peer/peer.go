@@ -557,8 +557,8 @@ type Session struct {
 	// variable-target loops, forcing one Bulk RPC at a time — the serial
 	// baseline the scatter-gather benchmarks compare against.
 	SequentialScatter bool
-	// Streamed dispatches variable-target loops through the streaming XRPC
-	// client: per-peer results arrive as chunk frames consumed in loop
+	// Streamed selects the streaming XRPC wire for the session's remote
+	// calls: per-peer results arrive as chunk frames consumed in loop
 	// order, overlapping slow peers with local processing of finished
 	// lanes, instead of gathering whole responses.
 	Streamed bool
@@ -807,22 +807,20 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 			Static:    engine.Static,
 			Relatives: plan.Relatives,
 			Metrics:   metrics,
+			Streamed:  s.Streamed,
 			Context:   queryCtx,
 			Retry:     s.Retry,
 			Health:    s.Health,
 			Reroute:   s.net.rerouteFor(shards),
 			Trace:     engine.TraceSpan,
 		}
-		switch {
-		case s.SequentialScatter:
-			// Hide the ScatterCaller extension so the evaluator dispatches
+		if s.SequentialScatter {
+			// The baseline: a width-1 pool on the gather wire dispatches
 			// variable-target batches one peer at a time.
-			engine.Remote = bulkOnlyCaller{client}
-		case s.Streamed:
-			engine.Remote = &xrpc.StreamedClient{Client: client}
-		default:
-			engine.Remote = client
+			client.MaxConcurrent = 1
+			client.Streamed = false
 		}
+		engine.Remote = client
 	}
 	t0 := time.Now()
 	res, err := engine.Query(plan.Query)
@@ -967,17 +965,4 @@ func streamedExchange(lane xrpc.Lane) netsim.StreamedExchange {
 		se.Chunks = append(se.Chunks, netsim.Chunk{Bytes: rest})
 	}
 	return se
-}
-
-// bulkOnlyCaller forwards the plain RemoteCaller methods of a Client while
-// hiding its ScatterCaller extension, so variable-target loops degrade to
-// sequential per-peer dispatch (the measurement baseline).
-type bulkOnlyCaller struct{ c *xrpc.Client }
-
-func (b bulkOnlyCaller) CallRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
-	return b.c.CallRemote(target, x, params)
-}
-
-func (b bulkOnlyCaller) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
-	return b.c.CallRemoteBulk(target, x, iterations)
 }

@@ -63,25 +63,6 @@ func Analyze(q *xq.Query) (*Analysis, error) {
 	return a, err
 }
 
-// AnalyzeExpr analyzes a standalone expression with given parameter paths
-// (used by the XRPC server to derive response projections for a shipped
-// function body).
-func AnalyzeExpr(body xq.Expr, params map[string]PathSet) (*Analysis, error) {
-	a := &Analysis{
-		Returned:      map[xq.Expr]PathSet{},
-		Used:          map[xq.Expr]PathSet{},
-		Vertex:        map[xq.Expr]int{},
-		ParamReturned: map[*xq.XRPCParam]PathSet{},
-		funcs:         map[string]*xq.FuncDecl{},
-	}
-	vars := map[string]PathSet{}
-	for k, v := range params {
-		vars[k] = v
-	}
-	_, _, err := a.analyze(body, env{vars: vars}, map[string]bool{})
-	return a, err
-}
-
 func (a *Analysis) vid(e xq.Expr) int {
 	if v, ok := a.Vertex[e]; ok {
 		return v

@@ -174,19 +174,6 @@ func (ps PathSet) Union(qs PathSet) PathSet {
 	return out
 }
 
-// Docs returns the distinct document identities mentioned by the set.
-func (ps PathSet) Docs() []DocID {
-	var out []DocID
-	seen := map[DocID]bool{}
-	for _, p := range ps {
-		if p.Doc != nil && !seen[*p.Doc] {
-			seen[*p.Doc] = true
-			out = append(out, *p.Doc)
-		}
-	}
-	return out
-}
-
 // String renders the set for golden tests.
 func (ps PathSet) String() string {
 	parts := make([]string, len(ps))

@@ -59,8 +59,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 			help: "Bulk (loop-lifted) remote calls.", value: int64(ev.BulkCalls)},
 		{name: "distxq_eval_scatter_waves_total", kind: "counter",
 			help: "Variable-target loops dispatched as concurrent waves.", value: int64(ev.ScatterWaves)},
-		{name: "distxq_eval_streamed_waves_total", kind: "counter",
-			help: "Scatter waves consumed incrementally.", value: int64(ev.StreamedWaves)},
 		{name: "distxq_eval_deadline_aborts_total", kind: "counter",
 			help: "Evaluations cut short by a spent deadline.", value: int64(ev.DeadlineAborts)},
 		{name: "distxq_eval_compilations_total", kind: "counter",

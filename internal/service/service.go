@@ -48,7 +48,7 @@ type Config struct {
 	// DefaultBudget applies to queries submitted without one; the zero
 	// budget leaves them unbounded.
 	DefaultBudget core.Budget
-	// Streamed executes scatter dispatch through the streaming client.
+	// Streamed selects the streaming XRPC wire for remote calls.
 	Streamed bool
 	// Compile lowers cached plans to the compiled closure-chain executor:
 	// each plan compiles once, at plan time, and every execution of the

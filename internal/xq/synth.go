@@ -20,11 +20,6 @@ func NewStringSeq(vals []string) *SeqExpr {
 	return &SeqExpr{Items: items}
 }
 
-// NewDocCall returns the function application doc("uri").
-func NewDocCall(uri string) *FunCall {
-	return &FunCall{Name: "doc", Args: []Expr{NewStringLiteral(uri)}}
-}
-
 // NewScatterLoop builds the canonical concurrent scatter form the evaluator
 // dispatches as one Bulk RPC per distinct peer:
 //

@@ -143,14 +143,15 @@ func (m *Metrics) Snapshot() Metrics {
 
 var clientFuncSeq atomic.Uint64
 
-// DefaultMaxConcurrent bounds the per-wave worker pool of scatter-gather
-// dispatch when Client.MaxConcurrent is zero.
+// DefaultMaxConcurrent bounds the per-wave worker pool of dispatch when
+// Client.MaxConcurrent is zero.
 const DefaultMaxConcurrent = 8
 
 // Client executes XRPCExprs remotely over a Transport. It implements
-// eval.RemoteCaller, including Bulk RPC and concurrent scatter-gather
-// dispatch (eval.ScatterCaller). A Client is safe for concurrent use when
-// its Transport is.
+// eval.RemoteCaller: every dispatch — a single call, a Bulk RPC, a scatter
+// wave — is one Bulk RPC per batch, run through a bounded worker pool and
+// delivered as per-lane result increments. A Client is safe for concurrent
+// use when its Transport is.
 type Client struct {
 	Transport Transport
 	Semantics Semantics
@@ -163,8 +164,16 @@ type Client struct {
 	// Metrics, when non-nil, accumulates exchange measurements.
 	Metrics *Metrics
 	// MaxConcurrent bounds the number of in-flight per-peer Bulk RPCs of one
-	// scatter wave; zero means DefaultMaxConcurrent.
+	// dispatch wave; zero means DefaultMaxConcurrent.
 	MaxConcurrent int
+	// Streamed selects the streaming wire: lanes travel over StreamTransport
+	// (when the Transport provides it) as chunk frames decoded while the
+	// peer still produces them, instead of one gather-whole Response
+	// message. Results are identical either way.
+	Streamed bool
+	// BufferChunks bounds each lane's decoded-chunk buffer; zero means
+	// DefaultBufferChunks.
+	BufferChunks int
 	// Context, when non-nil, is the base context of every dispatch:
 	// cancelling it aborts in-flight exchanges (through a ContextTransport
 	// or StreamTransport) and releases queued pool workers.
@@ -239,18 +248,8 @@ func (c *Client) baseContext() context.Context {
 }
 
 var _ eval.RemoteCaller = (*Client)(nil)
-var _ eval.ScatterCaller = (*Client)(nil)
 
-// CallRemote implements eval.RemoteCaller for a single call.
-func (c *Client) CallRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
-	results, err := c.CallRemoteBulk(target, x, [][]xdm.Sequence{params})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// laneSpan opens the span one scatter lane records under.
+// laneSpan opens the span one lane records under.
 func laneSpan(parent trace.SpanRef, target string) trace.SpanRef {
 	return parent.Child("lane", trace.Str("target", target))
 }
@@ -272,95 +271,135 @@ func finishLane(sp trace.SpanRef, lane Lane, err error) {
 	sp.EndErr(err)
 }
 
-// CallRemoteBulk implements Bulk RPC: all iterations travel in one message.
-// Under a RetryPolicy with MaxAttempts > 1 a failed exchange is re-issued to
-// the same target (sequential dispatch carries no replica set — scatter
-// batches do).
-func (c *Client) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
-	lsp := laneSpan(c.Trace, target)
-	results, lane, err := c.callLane(c.baseContext(), x, eval.ScatterBatch{Target: target, Iterations: iterations}, lsp)
-	finishLane(lsp, lane, err)
-	if err != nil {
-		return nil, err
+// Dispatch implements eval.RemoteCaller: one Bulk RPC per batch, run by
+// runLane under the RetryPolicy, each lane yielding its results over a
+// bounded channel as they arrive — per frame on the streaming wire, per
+// iteration once the whole response is in on the gather wire.
+//
+// The pool admits lanes strictly in batch order — lane i starts once lane
+// i-width has finished — so the consumer, which drains lanes in batch order
+// too, is always waiting on an admitted lane: a lane blocked on its full
+// buffer can never starve the one being consumed.
+//
+// The first lane to fail cancels the wave: exchanges in flight over a
+// cancellation-aware transport are torn down instead of dragging out a
+// query that is going to fail anyway, and queued lanes never dispatch.
+// Lanes killed that way report context.Canceled — the evaluator reports the
+// genuine failure, never the echo. Every chunk, a lane's error included,
+// reaches its channel unless the consumer has called cancel.
+//
+// Successful lanes are recorded as metrics waves no wider than the pool
+// once every lane has finished, before the last channel closes. The
+// returned cancel function aborts every in-flight lane (producers blocked
+// on a full buffer included); the consumer must call it.
+func (c *Client) Dispatch(x *xq.XRPCExpr, batches []eval.ScatterBatch) ([]<-chan eval.StreamChunk, func()) {
+	buf := c.BufferChunks
+	if buf <= 0 {
+		buf = DefaultBufferChunks
 	}
-	c.Metrics.AddWave([]Lane{lane})
-	return results, nil
-}
-
-// CallRemoteScatter implements eval.ScatterCaller: one Bulk RPC per batch,
-// dispatched concurrently through a bounded worker pool. Results and errors
-// are positional per batch; the successful exchanges are recorded as one
-// metrics wave so the cost model charges their transfers as overlapped.
-//
-// The first lane to fail cancels the dispatch context: exchanges in flight
-// over a cancellation-aware Transport (ContextTransport — e.g. HTTP) are
-// torn down instead of dragging out a query that is going to fail anyway,
-// and external cancellation (Client.Context) additionally stops queued
-// lanes before they dispatch. Transports without cancellation support (the
-// synchronous in-memory one) run every lane to completion, preserving
-// deterministic per-lane outcomes and metrics. Lanes killed by
-// cancellation report context.Canceled — the evaluator reports the genuine
-// failure, never the echo.
-//
-// Under a RetryPolicy (or when a batch carries Replicas) each lane is
-// dispatched through the fault-tolerant runner: a lane only fails — and
-// only then cancels the wave — once its retry/hedge attempts are exhausted,
-// and the error it reports is the original fault of its earliest failed
-// attempt, never a cancellation echo of the loser of a hedge race.
-func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) ([][]xdm.Sequence, []error) {
-	results := make([][]xdm.Sequence, len(batches))
-	errs := make([]error, len(batches))
-	lanes := make([]Lane, len(batches))
 	width := c.MaxConcurrent
 	if width <= 0 {
 		width = DefaultMaxConcurrent
 	}
 	base := c.baseContext()
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	ssp := c.Trace.Child("scatter", trace.Int("lanes", int64(len(batches))))
-	defer ssp.End()
-	sem := make(chan struct{}, width)
-	var wg sync.WaitGroup
+	ctx, cancelWave := context.WithCancel(base)
+	gone := make(chan struct{})
+	var once sync.Once
+	cancel := func() {
+		once.Do(func() {
+			close(gone)
+			cancelWave()
+		})
+	}
+	chans := make([]chan eval.StreamChunk, len(batches))
+	out := make([]<-chan eval.StreamChunk, len(batches))
+	done := make([]chan struct{}, len(batches))
+	for i := range chans {
+		chans[i] = make(chan eval.StreamChunk, buf)
+		out[i] = chans[i]
+		done[i] = make(chan struct{})
+	}
+	lanes := make([]Lane, len(batches))
+	failed := make([]bool, len(batches))
+	// A wave of one lane — a single call or Bulk RPC — needs no span of its
+	// own: its lane span hangs straight off the dispatch span.
+	wsp := c.Trace
+	if len(batches) > 1 {
+		if c.Streamed {
+			wsp = c.Trace.Child("scatter", trace.Int("lanes", int64(len(batches))), trace.Bool("streamed", true))
+		} else {
+			wsp = c.Trace.Child("scatter", trace.Int("lanes", int64(len(batches))))
+		}
+	}
+	var remaining atomic.Int64
+	remaining.Store(int64(len(batches)))
 	for i := range batches {
-		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := base.Err(); err != nil {
-				// The lane never dispatched; when the budget (not a peer
-				// fault elsewhere) killed the wave, say so in type.
-				errs[i] = budgetFailure(base, err, batches[i].Target, time.Now())
-				return
+			// Defers run in reverse order: the last lane to finish records
+			// the metrics waves and closes the wave span, then closes its
+			// channel — so by the time the consumer has drained every lane,
+			// the waves are visible and the span tree is complete.
+			defer close(chans[i])
+			defer func() {
+				if remaining.Add(-1) != 0 {
+					return
+				}
+				var ok []Lane
+				for j := range lanes {
+					if !failed[j] {
+						ok = append(ok, lanes[j])
+					}
+				}
+				// Waves no wider than the pool: only width exchanges were
+				// ever in flight together, and the overlap model must not
+				// pretend otherwise.
+				for len(ok) > 0 {
+					n := min(width, len(ok))
+					c.Metrics.AddWave(ok[:n])
+					ok = ok[n:]
+				}
+				if len(batches) > 1 {
+					wsp.End()
+				}
+			}()
+			defer close(done[i])
+			send := func(chunk eval.StreamChunk) bool {
+				select {
+				case chans[i] <- chunk:
+					return true
+				case <-gone:
+					return false
+				}
 			}
-			lsp := laneSpan(ssp, batches[i].Target)
-			results[i], lanes[i], errs[i] = c.callLane(ctx, x, batches[i], lsp)
-			finishLane(lsp, lanes[i], errs[i])
-			if errs[i] != nil {
-				cancel()
+			// A lane admitted straight away always dispatches unless the
+			// caller's context has ended, so lanes over transports without
+			// cancellation support keep deterministic outcomes and metrics;
+			// a queued lane does not start once the wave is cancelled.
+			err := base.Err()
+			if i >= width {
+				select {
+				case <-done[i-width]:
+				case <-ctx.Done():
+				}
+				err = ctx.Err()
+			}
+			if err != nil {
+				// Never dispatched: a blown budget must surface in type, not
+				// as a bare context error.
+				err = budgetFailure(ctx, err, batches[i].Target, time.Now())
+			} else {
+				lsp := laneSpan(wsp, batches[i].Target)
+				lanes[i], err = c.runLane(ctx, x, batches[i], send, lsp)
+				finishLane(lsp, lanes[i], err)
+			}
+			if err != nil {
+				failed[i] = true
+				cancelWave()
+				send(eval.StreamChunk{Err: err})
 			}
 		}(i)
 	}
-	wg.Wait()
-	var ok []Lane
-	for i := range lanes {
-		if errs[i] == nil {
-			ok = append(ok, lanes[i])
-		}
-	}
-	// Record the dispatch as waves no wider than the worker pool: with more
-	// batches than workers only `width` exchanges are ever in flight
-	// together, and the overlap model must not pretend otherwise.
-	for len(ok) > 0 {
-		n := width
-		if n > len(ok) {
-			n = len(ok)
-		}
-		c.Metrics.AddWave(ok[:n])
-		ok = ok[n:]
-	}
-	return results, errs
+	return out, cancel
 }
 
 // marshalCall builds and serializes the request message of one Bulk RPC.
@@ -433,20 +472,30 @@ func roundTrip(ctx context.Context, t Transport, peer string, request []byte) ([
 	return t.RoundTrip(peer, request)
 }
 
-func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, sp trace.SpanRef) ([]xdm.Sequence, Lane, error) {
+// exchange performs one attempt's Bulk RPC to target, delivering result
+// increments through deliver and accounting the exchange in Metrics. On the
+// streaming wire it is streamExchange; otherwise one gather-whole Response,
+// delivered as one increment per iteration once it has arrived. onFrame,
+// when non-nil, is invoked as each response frame reaches the originator —
+// the liveness signal the lane runner's hedge timer watches; a gather-whole
+// response is a single frame.
+func (c *Client) exchange(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, onFrame func(), sp trace.SpanRef) (Lane, error) {
+	if stx, ok := c.Transport.(StreamTransport); ok && c.Streamed {
+		return c.streamExchange(ctx, stx, target, x, iterations, deliver, onFrame, sp)
+	}
 	data, serNS, err := c.marshalCall(ctx, target, x, iterations, sp)
 	if err != nil {
-		return nil, Lane{}, err
-	}
-	if sp.Active() {
-		ctx = withTraceInfo(ctx, uint64(sp.TraceID()), uint64(sp.SpanID()))
+		return Lane{}, err
 	}
 	t1 := time.Now()
 	respData, err := roundTrip(ctx, c.Transport, target, data)
 	wallNS := time.Since(t1).Nanoseconds()
 	if err != nil {
 		c.observe(target, wallNS, err)
-		return nil, Lane{}, err
+		return Lane{}, err
+	}
+	if onFrame != nil {
+		onFrame()
 	}
 	t2 := time.Now()
 	resp, err := ParseResponse(respData)
@@ -458,13 +507,13 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 			sp.IngestRemote(f.Spans)
 		}
 		c.observe(target, wallNS, err)
-		return nil, Lane{}, err
+		return Lane{}, err
 	}
 	c.observe(target, wallNS, nil)
 	sp.IngestRemote(resp.Spans)
 	deserNS := time.Since(t2).Nanoseconds()
 	if len(resp.Results) != len(iterations) {
-		return nil, Lane{}, fmt.Errorf("xrpc: response carries %d results for %d calls",
+		return Lane{}, fmt.Errorf("xrpc: response carries %d results for %d calls",
 			len(resp.Results), len(iterations))
 	}
 	lane := Lane{
@@ -486,7 +535,12 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 			RoundTripWall: wallNS,
 		})
 	}
-	return resp.Results, lane, nil
+	for i, res := range resp.Results {
+		if !deliver(eval.StreamChunk{Iteration: i, Items: res}) {
+			return Lane{}, context.Canceled
+		}
+	}
+	return lane, nil
 }
 
 // shipModule renders the self-contained function declaration shipped in the

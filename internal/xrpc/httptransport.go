@@ -96,7 +96,6 @@ func (t *HTTPTransport) RoundTripContext(ctx context.Context, peer string, reque
 	}
 	req.Header.Set("Content-Type", "application/soap+xml")
 	setBudgetHeader(req, ctx)
-	setTraceHeader(req, ctx)
 	resp, err := t.client().Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("xrpc: POST to %s: %w", peer, err)
@@ -125,7 +124,6 @@ func (t *HTTPTransport) RoundTripStream(ctx context.Context, peer string, reques
 	}
 	req.Header.Set("Content-Type", "application/soap+xml")
 	setBudgetHeader(req, ctx)
-	setTraceHeader(req, ctx)
 	resp, err := t.client().Do(req)
 	if err != nil {
 		return fmt.Errorf("xrpc: POST to %s: %w", peer, err)
@@ -162,6 +160,11 @@ func (t *HTTPTransport) RoundTripStream(ctx context.Context, peer string, reques
 // (HTTP chunked transfer encoding does not expose chunk boundaries to
 // net/http readers, so frames carry their own.)
 
+// maxFrameBytes bounds the length a peer may declare for one stream frame.
+// The length is read before the frame, so without a bound a hostile or
+// corrupt header would make the originator allocate whatever it names.
+const maxFrameBytes = 256 << 20
+
 func writeFrame(w io.Writer, frame []byte) error {
 	if _, err := fmt.Fprintf(w, "%d\n", len(frame)); err != nil {
 		return err
@@ -181,6 +184,9 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	n, err := strconv.Atoi(header[:len(header)-1])
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("bad frame length %q", header[:len(header)-1])
+	}
+	if n > maxFrameBytes {
+		return nil, fmt.Errorf("frame length %d exceeds the %d-byte limit", n, maxFrameBytes)
 	}
 	frame := make([]byte, n)
 	if _, err := io.ReadFull(br, frame); err != nil {

@@ -53,11 +53,8 @@ func TestScatterOverHTTPConcurrent(t *testing.T) {
 		cl := &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic(),
 			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}}
 		eng := eval.NewEngine(nil)
-		if streamed {
-			eng.Remote = &StreamedClient{Client: cl}
-		} else {
-			eng.Remote = cl
-		}
+		cl.Streamed = streamed
+		eng.Remote = cl
 		return eng
 	}
 
@@ -134,9 +131,9 @@ func TestHTTPStreamFallbackWithoutEndpoint(t *testing.T) {
 		urls[name] = ts.URL
 	}
 	tr := &HTTPTransport{URLFor: func(p string) string { return urls[p] + "/xrpc" }}
-	cl := &StreamedClient{Client: &Client{Transport: tr, Semantics: ByFragment,
+	cl := &Client{Transport: tr, Semantics: ByFragment,
 		Static: eval.DefaultStatic(), Relatives: map[*xq.XRPCExpr]projection.RelativePaths{},
-		Metrics: &Metrics{}}}
+		Metrics: &Metrics{}, Streamed: true}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	got, err := eng.QueryString(interleavedScatterSrc)
@@ -165,11 +162,8 @@ func TestRouteTransportMixedFederation(t *testing.T) {
 		cl := &Client{Transport: router, Semantics: ByValue, Static: eval.DefaultStatic(),
 			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}}
 		eng := eval.NewEngine(nil)
-		if streamed {
-			eng.Remote = &StreamedClient{Client: cl}
-		} else {
-			eng.Remote = cl
-		}
+		cl.Streamed = streamed
+		eng.Remote = cl
 		got, err := eng.QueryString(interleavedScatterSrc)
 		if err != nil {
 			t.Fatalf("streamed=%v: %v", streamed, err)
@@ -255,5 +249,28 @@ func TestExternalContextCancelsDispatch(t *testing.T) {
 	for $p in ("p1", "p2") return execute at {$p} { f($p) }`)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
+	}
+}
+
+// TestHTTPStreamOversizedFrameHeader: a peer declaring a frame length far
+// beyond any sane response (here 2^62 bytes) fails its lane with an error
+// instead of panicking the lane goroutine on the allocation.
+func TestHTTPStreamOversizedFrameHeader(t *testing.T) {
+	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.ReadAll(r.Body)
+		w.Header().Set("Content-Type", "application/xrpc-stream")
+		_, _ = io.WriteString(w, "4611686018427387904\n")
+	}))
+	t.Cleanup(hostile.Close)
+	tr := &HTTPTransport{URLFor: func(string) string { return hostile.URL + "/xrpc" }}
+	cl := &Client{Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
+		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Streamed: true}
+	eng := eval.NewEngine(nil)
+	eng.Remote = cl
+	_, err := eng.QueryString(`
+	declare function f($x as xs:string) as item()* { $x };
+	for $p in ("p1", "p2") return execute at {$p} { f($p) }`)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("error = %v, want an oversized-frame lane error", err)
 	}
 }

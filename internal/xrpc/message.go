@@ -7,14 +7,15 @@
 // with Bulk RPC, the client (an eval.RemoteCaller), the server handler, and
 // byte-counting transports.
 //
-// The layer's contract: a Client turns eval's remote-call hooks into wire
-// exchanges over any Transport (in-memory, HTTP, or a per-peer router) and
-// guarantees that what the evaluator gathers is independent of the wiring —
-// faults surface as the same *Fault through every transport, scatter lanes
-// keep loop order, streamed dispatch (StreamedClient, chunk frames over a
-// StreamTransport) is byte-identical to gather-whole, and under a
-// RetryPolicy a lane transparently fails over to replica peers (retry on
-// fault, hedge on straggle; retry.go) without changing results. Metrics
+// The layer's contract: a Client turns eval's one remote-call hook
+// (Dispatch) into wire exchanges over any Transport (in-memory, HTTP, or a
+// per-peer router) and guarantees that what the evaluator gathers is
+// independent of the wiring — faults surface as the same *Fault through
+// every transport, lanes keep loop order, the streaming wire
+// (Client.Streamed, chunk frames over a StreamTransport) is byte-identical
+// to gather-whole, and under a RetryPolicy a lane transparently fails over
+// to replica peers (retry on fault, hedge on straggle; retry.go) without
+// changing results. Metrics
 // records every exchange, grouped into overlap waves, for the netsim cost
 // model.
 package xrpc

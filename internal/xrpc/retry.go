@@ -1,26 +1,27 @@
 package xrpc
 
-// This file implements per-lane fault tolerance for scatter-gather dispatch:
-// a RetryPolicy that re-issues a failed Bulk RPC to the lane's next replica
-// (retry) and races a speculative duplicate against a slow one (hedging).
-// The winner's response is used, the loser is cancelled, and the lane's
-// provenance (winning replica, retries, hedges, wasted wall time) travels on
-// the Lane record so sessions can report tail-tolerance costs. Correctness
-// rests on the repo-wide invariant that peers evaluate deterministically:
-// two replicas holding byte-identical shard documents produce byte-identical
-// results for the same shipped function, so whichever attempt wins, the
-// gathered query result is unchanged.
+// This file implements the lane runner every dispatch goes through, and its
+// fault tolerance: a RetryPolicy that re-issues a failed Bulk RPC to the
+// lane's next replica (retry) and races a speculative duplicate against a
+// slow one (hedging). The first attempt to finish wins, the losers are
+// cancelled, and the lane's provenance (winning replica, retries, hedges,
+// wasted wall time) travels on the Lane record so sessions can report
+// tail-tolerance costs. Correctness rests on the repo-wide invariant that
+// peers evaluate deterministically: two replicas holding byte-identical
+// shard documents produce byte-identical results for the same shipped
+// function, so racing attempts can share one delivered prefix and the
+// gathered query result is unchanged whichever attempt wins.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"distxq/internal/eval"
 	"distxq/internal/trace"
-	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
 
@@ -39,13 +40,12 @@ type RetryPolicy struct {
 	Backoff time.Duration
 	// HedgeAfter, when positive, launches a speculative duplicate of the
 	// exchange on the next target of the rotation if the newest attempt has
-	// not answered within this duration. The first response wins and the
-	// losers are cancelled (torn down over cancellation-aware transports).
-	// Streamed lanes treat it as a liveness bound on the first response
-	// frame: a lane whose stream has not started by then is cancelled and
-	// re-issued to the next replica (see StreamedClient). A Client with a
-	// HealthTracker overrides this per peer with the observed P90 once
-	// enough fresh samples exist.
+	// not delivered its first response frame within this duration (a
+	// gather-whole response is one frame). The attempts race; the first to
+	// finish wins and the losers are cancelled (torn down over
+	// cancellation-aware transports). A Client with a HealthTracker
+	// overrides this per peer with the observed P90 once enough fresh
+	// samples exist.
 	HedgeAfter time.Duration
 	// SpreadReplicas starts lanes on a rotation of the lane's replica set
 	// instead of always on the primary, so concurrent sessions spread load
@@ -221,9 +221,7 @@ func (f *firstFault) error() error {
 // attemptOutcome is one attempt's report back to the lane runner.
 type attemptOutcome struct {
 	attempt int
-	replica int
 	peer    string
-	results []xdm.Sequence
 	lane    Lane
 	err     error
 	wallNS  int64
@@ -243,18 +241,30 @@ func attemptKind(first, hedge bool) string {
 	}
 }
 
-// callLane performs one scatter lane's Bulk RPC under the client's
-// RetryPolicy. Without a policy and without replicas it is exactly one
-// exchange. Otherwise attempts rotate through the lane's targets: a failed
-// attempt is re-issued (after Backoff) to the next one, and when HedgeAfter
-// is set a speculative duplicate races any attempt that has not answered in
-// time. The first successful attempt wins; every other attempt is cancelled
-// and its wall time accounted as the lane's WastedNS. Exchanges already in
-// flight over transports without cancellation support run to completion,
-// but their results are discarded — duplicated responses are safe because
-// peer evaluation is deterministic and only the winner's response is
-// gathered.
-func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.ScatterBatch, lsp trace.SpanRef) ([]xdm.Sequence, Lane, error) {
+// runLane performs one lane's Bulk RPC under the client's RetryPolicy,
+// delivering its results through send. Without a policy and without
+// replicas it is exactly one exchange. Otherwise attempts rotate through
+// the lane's targets and race concurrently: a failed attempt is re-issued
+// (after Backoff) to the next one, and when HedgeAfter is set a speculative
+// duplicate races the newest attempt if that attempt has not delivered its
+// first response frame in time — for a gather-whole exchange the first
+// frame is the whole response.
+//
+// Every attempt delivers through one shared replayFilter, serialised by one
+// mutex held across the send — so an increment one attempt forwards is on
+// the channel before another attempt can forward what follows it; the send
+// gives up once the consumer cancels, so the lock is never held forever.
+// The filter forwards only increments beyond the delivered high-water mark,
+// and attempts are byte-identical (replicas hold identical shards,
+// evaluation is deterministic), so racing streams merge into exactly one
+// loop-ordered, duplicate-free sequence whichever attempt is ahead at any
+// moment — even when peers chunk differently. The first attempt to finish
+// its exchange wins: at that point everything it carried has been
+// delivered. Every other attempt is cancelled and its wall time accounted
+// as the lane's WastedNS; gather-whole exchanges already in flight over
+// transports without cancellation support run to completion after the lane
+// returns, their deliveries all suppressed.
+func (c *Client) runLane(ctx context.Context, x *xq.XRPCExpr, batch eval.ScatterBatch, send deliverFunc, lsp trace.SpanRef) (Lane, error) {
 	start := time.Now()
 	max := c.Retry.maxAttempts(len(batch.Replicas))
 	// A client with a Reroute hook takes the full event loop even for
@@ -262,20 +272,32 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 	// rotation, turning what would be a dead lane into a re-dispatch.
 	if max <= 1 && c.Reroute == nil {
 		asp := lsp.Child("attempt", trace.Str("peer", batch.Target), trace.Str("kind", "primary"))
-		results, lane, err := c.callBulkCtx(ctx, batch.Target, x, batch.Iterations, asp)
+		lane, err := c.exchange(ctx, batch.Target, x, batch.Iterations, send, nil, asp)
 		asp.EndErr(err)
 		if err != nil {
-			err = budgetFailure(ctx, err, batch.Target, start)
-		} else {
-			asp.Set(trace.Bool("winner", true))
+			return Lane{}, budgetFailure(ctx, err, batch.Target, start)
 		}
-		return results, lane, err
+		asp.Set(trace.Bool("winner", true))
+		return lane, nil
 	}
 	targets := c.dispatchTargets(batch)
 	lctx, lcancel := context.WithCancel(ctx)
 	defer lcancel()
+	// finished releases attempts reporting after the runner has returned.
+	finished := make(chan struct{})
+	defer close(finished)
 
-	outcomes := make(chan attemptOutcome, max)
+	var mu sync.Mutex
+	progress := &laneProgress{}
+	closed := false
+	defer func() {
+		mu.Lock()
+		closed = true
+		mu.Unlock()
+	}()
+
+	outcomes := make(chan attemptOutcome)
+	frames := make(chan int)
 	starts := make([]time.Time, 0, max)
 	launched, outstanding := 0, 0
 	retries, hedges := 0, 0
@@ -291,11 +313,10 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 				retries++
 			}
 		}
-		// Resolve peer and rotation slot here on the event loop: the rotation
-		// may grow under epoch-aware re-dispatch, and the attempt goroutine
-		// must not touch the shared slice.
-		rot := a % len(targets)
-		peer := targets[rot]
+		// Resolve the peer here on the event loop: the rotation may grow
+		// under epoch-aware re-dispatch, and the attempt goroutine must not
+		// touch the shared slice.
+		peer := targets[a%len(targets)]
 		// The attempt goroutine owns its span end-to-end: it may outlive the
 		// lane (a cancelled loser over a synchronous transport runs to
 		// completion), so nobody else may End it — the winner tag lands
@@ -304,25 +325,49 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 			trace.Str("peer", peer),
 			trace.Int("replica", int64(replicaIndex(batch, peer))),
 			trace.Str("kind", attemptKind(a == 0, hedge)))
+		// The filter's attempt-local stream position starts fresh (every
+		// attempt streams from call 0); only progress is shared.
+		filter := replayFilter(progress, send)
+		deliver := func(chunk eval.StreamChunk) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return !closed && filter(chunk)
+		}
 		go func() {
+			signalled := false
+			onFrame := func() {
+				if signalled {
+					return
+				}
+				signalled = true
+				select {
+				case frames <- a:
+				case <-finished:
+				}
+			}
 			t0 := time.Now()
-			results, lane, err := c.callBulkCtx(lctx, peer, x, batch.Iterations, asp)
+			lane, err := c.exchange(lctx, peer, x, batch.Iterations, deliver, onFrame, asp)
 			asp.EndErr(err)
-			outcomes <- attemptOutcome{
-				attempt: a, replica: rot, peer: peer,
-				results: results, lane: lane, err: err,
+			select {
+			case outcomes <- attemptOutcome{
+				attempt: a, peer: peer, lane: lane, err: err,
 				wallNS: time.Since(t0).Nanoseconds(), sp: asp,
+			}:
+			case <-finished:
 			}
 		}()
 	}
 
 	var timer *time.Timer
 	var timerC <-chan time.Time
-	armHedge := func() {
+	stopHedge := func() {
 		if timer != nil {
 			timer.Stop()
 			timer, timerC = nil, nil
 		}
+	}
+	armHedge := func() {
+		stopHedge()
 		// The trigger is resolved per attempt against the newest attempt's
 		// peer: a tracked peer hedges at its own observed P90.
 		if d := c.hedgeDelay(targets[(launched-1)%len(targets)]); d > 0 && launched < max {
@@ -330,11 +375,7 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 			timerC = timer.C
 		}
 	}
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+	defer stopHedge()
 
 	// A failed attempt schedules its re-issue through retryC instead of
 	// sleeping the backoff inline: the event loop keeps draining outcomes
@@ -390,6 +431,12 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 				}
 				scheduleRetry()
 			}
+		case a := <-frames:
+			// The newest attempt is alive: disarm its hedge trigger. A stream
+			// that faults later still fails over, with replay suppression.
+			if a == launched-1 {
+				stopHedge()
+			}
 		case <-retryC:
 			retryTimer, retryC = nil, nil
 			launch(false)
@@ -400,7 +447,7 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 		}
 	}
 	if winner == nil {
-		return nil, Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)
+		return Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)
 	}
 	// Tear down the losers (cancellation-aware transports abort mid-flight)
 	// and charge the lane for the work they burned: completed losers their
@@ -417,6 +464,17 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 			wasted += time.Since(starts[a]).Nanoseconds()
 		}
 	}
+	// A losing stream stops at its next frame once cancelled, so a streamed
+	// lane waits for its losers: no attempt of it outlives the lane. Losing
+	// gather-whole exchanges over a transport without cancellation support
+	// would run to completion, so a gather lane leaves them behind.
+	for c.Streamed && outstanding > 0 {
+		select {
+		case <-outcomes:
+			outstanding--
+		case <-frames:
+		}
+	}
 	winner.sp.Set(trace.Bool("winner", true))
 	lane := winner.lane
 	lane.Target = batch.Target
@@ -424,5 +482,5 @@ func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.Scatte
 	lane.Retries = retries
 	lane.Hedges = hedges
 	lane.WastedNS = wasted
-	return winner.results, lane, nil
+	return lane, nil
 }

@@ -262,8 +262,9 @@ func TestStreamedFailoverMidStream(t *testing.T) {
 		}
 		cl := &Client{Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
 			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Retry: pol}
+		cl.Streamed = true
 		eng := eval.NewEngine(nil)
-		eng.Remote = &StreamedClient{Client: cl}
+		eng.Remote = cl
 		return eng, cl
 	}
 
@@ -307,8 +308,9 @@ func TestStreamedStallSwitches(t *testing.T) {
 	cl := &Client{Transport: slow, Semantics: ByValue, Static: eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
 		Retry: &RetryPolicy{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond}}
+	cl.Streamed = true
 	eng := eval.NewEngine(nil)
-	eng.Remote = &StreamedClient{Client: cl}
+	eng.Remote = cl
 	eng.Replicas = map[string][]string{"p1": {"r1"}}
 	t0 := time.Now()
 	got := runStreamedScatter(t, eng, `
@@ -371,6 +373,105 @@ func TestReplayFilterSuppressesPrefix(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("delivery %d = %q, want %q (all: %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// interlockTransport makes a stalled primary start streaming only once the
+// hedge's stream is under way, and holds the hedge after its first frame
+// until the primary has delivered one too — so both attempts of the lane
+// feed the shared replay filter concurrently.
+type interlockTransport struct {
+	inner                       *InMemoryTransport
+	primary, hedge              string
+	hedgeStarted, primaryActive chan struct{}
+}
+
+func (t *interlockTransport) RoundTrip(peer string, req []byte) ([]byte, error) {
+	return t.inner.RoundTrip(peer, req)
+}
+
+func (t *interlockTransport) RoundTripStream(ctx context.Context, peer string, req []byte, sink func([]byte) error) error {
+	frames := 0
+	wait := func(ch chan struct{}) error {
+		select {
+		case <-ch:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	if peer == t.primary {
+		if err := wait(t.hedgeStarted); err != nil {
+			return err
+		}
+	}
+	return t.inner.RoundTripStream(ctx, peer, req, func(frame []byte) error {
+		if peer == t.hedge && frames == 1 {
+			if err := wait(t.primaryActive); err != nil {
+				return err
+			}
+		}
+		if err := sink(frame); err != nil {
+			return err
+		}
+		if frames == 0 {
+			if peer == t.primary {
+				close(t.primaryActive)
+			} else {
+				close(t.hedgeStarted)
+			}
+		}
+		frames++
+		return nil
+	})
+}
+
+// TestStreamedHedgeRacesLateStartingPrimary: a streamed lane's primary
+// stalls past HedgeAfter and starts streaming only after the hedge has;
+// both attempts then deliver concurrently, chunked differently, through the
+// lane's shared replay filter. The gathered result must be byte-identical
+// to the healthy run — no item duplicated, none skipped.
+func TestStreamedHedgeRacesLateStartingPrimary(t *testing.T) {
+	const items = 50
+	var doc, want strings.Builder
+	doc.WriteString("<r>")
+	for i := 1; i <= items; i++ {
+		fmt.Fprintf(&doc, "<a>%d</a>", i)
+		if i > 1 {
+			want.WriteString(" ")
+		}
+		fmt.Fprintf(&want, "<a>%d</a>", i)
+	}
+	doc.WriteString("</r>")
+	docs := mapResolver{"d.xml": doc.String()}
+	src := `
+	declare function f() as item()* { doc("d.xml")/child::r/child::a };
+	for $p in ("p1") return execute at {$p} { f() }`
+
+	for round := 0; round < 20; round++ {
+		mem := NewInMemoryTransport()
+		mem.Register("p1", &Server{Engine: eval.NewEngine(docs), ChunkItems: 3})
+		mem.Register("r1", &Server{Engine: eval.NewEngine(docs), ChunkItems: 7})
+		tr := &interlockTransport{inner: mem, primary: "p1", hedge: "r1",
+			hedgeStarted: make(chan struct{}), primaryActive: make(chan struct{})}
+		cl := &Client{Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
+			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
+			Retry: &RetryPolicy{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond}, Streamed: true}
+		eng := eval.NewEngine(nil)
+		eng.Remote = cl
+		eng.Replicas = map[string][]string{"p1": {"r1"}}
+		if got := runStreamedScatter(t, eng, src); got != want.String() {
+			t.Fatalf("round %d: result %q, want %q", round, got, want.String())
+		}
+		select {
+		case <-tr.primaryActive:
+		default:
+			t.Fatalf("round %d: the primary never streamed — the attempts did not race", round)
+		}
+		s := cl.Metrics.Snapshot()
+		if len(s.Waves) != 1 || len(s.Waves[0]) != 1 || s.Waves[0][0].Hedges != 1 {
+			t.Fatalf("round %d: waves = %+v, want one hedged lane", round, s.Waves)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"distxq/internal/eval"
@@ -36,7 +35,7 @@ import (
 const DefaultChunkItems = 32
 
 // DefaultBufferChunks bounds each lane's decoded-chunk buffer on the
-// originator when StreamedClient.BufferChunks is zero. The bound is the
+// originator when Client.BufferChunks is zero. The bound is the
 // backpressure mechanism: once a lane's buffer is full the producer blocks
 // (in-memory) or stops reading the connection (HTTP), so originator peak
 // buffering is limited by chunks in flight, not by total result size.
@@ -482,127 +481,15 @@ type ChunkStat struct {
 	DeserNS int64
 }
 
-// StreamedClient dispatches scatter waves in streaming mode: it implements
-// eval.StreamCaller on top of the embedded Client, yielding per-lane result
-// chunks as frames arrive instead of gathering whole responses. Lanes
-// travel over StreamTransport when the Transport provides it and fall back
-// to gather-whole exchanges (delivered as a single increment per iteration)
-// when it does not.
-type StreamedClient struct {
-	*Client
-	// BufferChunks bounds each lane's decoded-chunk buffer; zero means
-	// DefaultBufferChunks.
-	BufferChunks int
-}
-
-var _ eval.RemoteCaller = (*StreamedClient)(nil)
-var _ eval.ScatterCaller = (*StreamedClient)(nil)
-var _ eval.StreamCaller = (*StreamedClient)(nil)
-
-// CallRemoteScatterStream implements eval.StreamCaller. The pool admits
-// lanes strictly in batch order — lane i starts once lane i-width has
-// finished — so the consumer, which drains lanes in batch order too, is
-// always waiting on an admitted lane: a lane blocked on its full chunk
-// buffer can never starve the one being consumed (racy slot acquisition
-// deadlocked exactly that way when batches outnumbered the pool).
-// Successful lanes are recorded as metrics waves no wider than the pool
-// once all lanes finish. The returned cancel function aborts every
-// in-flight lane (producers blocked on a full buffer included) — the
-// consumer must call it.
-func (c *StreamedClient) CallRemoteScatterStream(x *xq.XRPCExpr, batches []eval.ScatterBatch) ([]<-chan eval.StreamChunk, func()) {
-	buf := c.BufferChunks
-	if buf <= 0 {
-		buf = DefaultBufferChunks
-	}
-	width := c.MaxConcurrent
-	if width <= 0 {
-		width = DefaultMaxConcurrent
-	}
-	ctx, cancel := context.WithCancel(c.baseContext())
-	chans := make([]chan eval.StreamChunk, len(batches))
-	out := make([]<-chan eval.StreamChunk, len(batches))
-	done := make([]chan struct{}, len(batches))
-	for i := range chans {
-		chans[i] = make(chan eval.StreamChunk, buf)
-		out[i] = chans[i]
-		done[i] = make(chan struct{})
-	}
-	lanes := make([]Lane, len(batches))
-	failed := make([]bool, len(batches))
-	ssp := c.Trace.Child("scatter",
-		trace.Int("lanes", int64(len(batches))), trace.Bool("streamed", true))
-	var remaining atomic.Int64
-	remaining.Store(int64(len(batches)))
-	for i := range batches {
-		go func(i int) {
-			// Defers run in reverse order: the last lane to finish records
-			// the metrics waves and closes the scatter span, then closes its
-			// channel — so by the time the consumer has drained every lane,
-			// the waves are visible and the span tree is complete.
-			defer close(chans[i])
-			defer func() {
-				if remaining.Add(-1) != 0 {
-					return
-				}
-				var ok []Lane
-				for j := range lanes {
-					if !failed[j] {
-						ok = append(ok, lanes[j])
-					}
-				}
-				for len(ok) > 0 {
-					n := min(width, len(ok))
-					c.Metrics.AddWave(ok[:n])
-					ok = ok[n:]
-				}
-				ssp.End()
-			}()
-			defer close(done[i])
-			if i >= width {
-				select {
-				case <-done[i-width]:
-				case <-ctx.Done():
-					failed[i] = true
-					// Queued behind the pool and never dispatched: a blown
-					// budget must surface in type, not as a bare ctx error.
-					sendChunk(ctx, chans[i], eval.StreamChunk{
-						Err: budgetFailure(ctx, ctx.Err(), batches[i].Target, time.Now())})
-					return
-				}
-			}
-			lsp := laneSpan(ssp, batches[i].Target)
-			lane, err := c.runStreamLane(ctx, x, batches[i], chans[i], lsp)
-			lanes[i] = lane
-			finishLane(lsp, lane, err)
-			if err != nil {
-				failed[i] = true
-				sendChunk(ctx, chans[i], eval.StreamChunk{Err: err})
-			}
-		}(i)
-	}
-	return out, cancel
-}
-
-// sendChunk delivers a chunk unless the dispatch was cancelled (then the
-// consumer is gone and the chunk is dropped instead of blocking forever).
-func sendChunk(ctx context.Context, ch chan<- eval.StreamChunk, chunk eval.StreamChunk) bool {
-	select {
-	case ch <- chunk:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // laneState validates the frame protocol of one lane and converts frames
 // into eval.StreamChunks.
 type laneState struct {
 	expect  int // iterations of the batch
 	nextSeq int
 	curCall int
-	curItem int   // items delivered of curCall
-	seen    bool  // curCall has appeared in at least one frame
-	done    bool  // terminal frame (or gather-whole response) received
+	curItem int  // items delivered of curCall
+	seen    bool // curCall has appeared in at least one frame
+	done    bool // terminal frame (or gather-whole response) received
 	chunks  []ChunkStat
 	execNS  int64
 	serdeNS int64
@@ -653,22 +540,13 @@ func (st *laneState) accept(ch *ResponseChunk) error {
 // false means the dispatch was cancelled and the lane must abort.
 type deliverFunc func(eval.StreamChunk) bool
 
-// streamLane performs one streamed Bulk RPC exchange, delivering result
+// streamExchange performs one streamed Bulk RPC exchange, delivering result
 // increments through deliver as frames arrive and accumulating metrics
-// totals exactly like callBulkCtx does for gather-whole exchanges. onFrame,
-// when non-nil, is invoked as each response frame reaches the originator —
-// the liveness signal the retry runner's hedge timer watches.
-func (c *StreamedClient) streamLane(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, onFrame func(), sp trace.SpanRef) (Lane, error) {
-	stx, streams := c.Transport.(StreamTransport)
-	if !streams {
-		return c.gatherLane(ctx, target, x, iterations, deliver, sp)
-	}
+// totals exactly like the gather-whole exchange does.
+func (c *Client) streamExchange(ctx context.Context, stx StreamTransport, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, onFrame func(), sp trace.SpanRef) (Lane, error) {
 	data, serNS, err := c.marshalCall(ctx, target, x, iterations, sp)
 	if err != nil {
 		return Lane{}, err
-	}
-	if sp.Active() {
-		ctx = withTraceInfo(ctx, uint64(sp.TraceID()), uint64(sp.SpanID()))
 	}
 	st := &laneState{expect: len(iterations)}
 	sink := func(frame []byte) error {
@@ -786,25 +664,10 @@ func (c *StreamedClient) streamLane(ctx context.Context, target string, x *xq.XR
 	return lane, nil
 }
 
-// gatherLane is the degraded streamLane over a Transport without streaming:
-// one gather-whole exchange, delivered as one increment per iteration.
-func (c *StreamedClient) gatherLane(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, sp trace.SpanRef) (Lane, error) {
-	results, lane, err := c.callBulkCtx(ctx, target, x, iterations, sp)
-	if err != nil {
-		return Lane{}, err
-	}
-	for i, res := range results {
-		if !deliver(eval.StreamChunk{Iteration: i, Items: res}) {
-			return lane, context.Canceled
-		}
-	}
-	return lane, nil
-}
-
 // ------------------------------------------------- fault-tolerant lanes --
 
-// laneProgress records how much of a streamed lane has already been
-// delivered to the consumer, across attempts: everything of calls before
+// laneProgress records how much of a lane has already been delivered to
+// the consumer, across attempts: everything of calls before
 // call, plus the first item items of call itself (seen marks whether any
 // chunk of call was forwarded — an empty call delivers an itemless chunk).
 type laneProgress struct {
@@ -813,13 +676,16 @@ type laneProgress struct {
 	seen bool
 }
 
-// replayFilter wraps deliver so a failover attempt's replayed increments
-// are suppressed. A retried stream restarts from call 0: because replicas
-// hold byte-identical shard documents and evaluation is deterministic, the
-// replayed prefix is byte-identical to what the consumer already received,
-// so the filter forwards only the suffix beyond p — results stay exactly
-// loop-ordered and duplicate-free even when the replacement peer chunks its
-// stream differently.
+// replayFilter wraps deliver for one attempt of a lane so increments the
+// consumer already received are suppressed. Every attempt streams from
+// call 0: because replicas hold byte-identical shard documents and
+// evaluation is deterministic, an attempt's prefix is byte-identical to
+// what the consumer already received, so the filter forwards only the
+// suffix beyond p — results stay exactly loop-ordered and duplicate-free
+// even when peers chunk their streams differently. Concurrent attempts
+// share p through filters serialised by one lock (see runLane): each
+// attempt passes all of its chunks in order, so p never trails the start
+// of the chunk being filtered and no item is skipped.
 func replayFilter(p *laneProgress, deliver deliverFunc) deliverFunc {
 	acall, aitem := 0, 0 // this attempt's position in its own stream
 	return func(chunk eval.StreamChunk) bool {
@@ -852,169 +718,4 @@ func replayFilter(p *laneProgress, deliver deliverFunc) deliverFunc {
 			return deliver(chunk)
 		}
 	}
-}
-
-// runStreamLane dispatches one streamed scatter lane under the client's
-// RetryPolicy. A lane fault — connection failure, a fault frame, a protocol
-// violation — cancels the attempt and re-issues the call to the lane's next
-// replica, with already-delivered increments suppressed by replayFilter; a
-// lane whose stream has not produced its first frame within HedgeAfter is
-// treated as stalled, cancelled, and re-issued the same way (the streamed
-// hedge is a cancel-and-switch rather than the gather path's concurrent
-// race: racing two incremental streams would interleave increments, and
-// only one attempt may feed the consumer's ordered channel).
-func (c *StreamedClient) runStreamLane(ctx context.Context, x *xq.XRPCExpr, batch eval.ScatterBatch, ch chan<- eval.StreamChunk, lsp trace.SpanRef) (Lane, error) {
-	start := time.Now()
-	forward := func(chunk eval.StreamChunk) bool { return sendChunk(ctx, ch, chunk) }
-	max := c.Retry.maxAttempts(len(batch.Replicas))
-	// As in callLane: a Reroute hook routes even single-attempt lanes
-	// through the retry loop, so a fault can re-dispatch to the shard's new
-	// home under a newer topology epoch.
-	if max <= 1 && c.Reroute == nil {
-		asp := lsp.Child("attempt", trace.Str("peer", batch.Target), trace.Str("kind", "primary"))
-		lane, err := c.streamLane(ctx, batch.Target, x, batch.Iterations, forward, nil, asp)
-		asp.EndErr(err)
-		if err != nil {
-			err = budgetFailure(ctx, err, batch.Target, start)
-		} else {
-			asp.Set(trace.Bool("winner", true))
-		}
-		return lane, err
-	}
-	targets := c.dispatchTargets(batch)
-	progress := &laneProgress{}
-	fault := &firstFault{}
-	var lastFresh []string
-	retries, hedges := 0, 0
-	var wasted int64
-	stalled := false
-	terminal := false
-	for attempt := 0; attempt < max; attempt++ {
-		if attempt > 0 {
-			if stalled {
-				hedges++
-			} else {
-				retries++
-				if d := c.Retry.backoff(); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-					}
-				}
-			}
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		target := targets[attempt%len(targets)]
-		asp := lsp.Child("attempt",
-			trace.Str("peer", target),
-			trace.Int("replica", int64(replicaIndex(batch, target))),
-			trace.Str("kind", attemptKind(attempt == 0, stalled)))
-		actx, acancel := context.WithCancel(ctx)
-		frames := make(chan struct{}, 1)
-		onFrame := func() {
-			select {
-			case frames <- struct{}{}:
-			default:
-			}
-		}
-		type outcome struct {
-			lane Lane
-			err  error
-		}
-		win := func(o outcome) Lane {
-			lane := o.lane
-			lane.Target = batch.Target
-			lane.Replica = replicaIndex(batch, target)
-			lane.Retries = retries
-			lane.Hedges = hedges
-			lane.WastedNS = wasted
-			return lane
-		}
-		outc := make(chan outcome, 1)
-		// The filter's attempt-local stream position starts fresh for each
-		// attempt (every retry replays from call 0); only the shared
-		// delivered-progress record persists across attempts.
-		deliver := replayFilter(progress, forward)
-		t0 := time.Now()
-		go func() {
-			lane, err := c.streamLane(actx, target, x, batch.Iterations, deliver, onFrame, asp)
-			outc <- outcome{lane, err}
-		}()
-		var hedgeC <-chan time.Time
-		var hedgeTimer *time.Timer
-		if d := c.hedgeDelay(target); d > 0 && attempt+1 < max {
-			hedgeTimer = time.NewTimer(d)
-			hedgeC = hedgeTimer.C
-		}
-		stalled = false
-	wait:
-		for {
-			select {
-			case o := <-outc:
-				if o.err == nil {
-					if hedgeTimer != nil {
-						hedgeTimer.Stop()
-					}
-					acancel()
-					asp.End()
-					asp.Set(trace.Bool("winner", true))
-					return win(o), nil
-				}
-				asp.EndErr(o.err)
-				fault.record(attempt, o.err)
-				wasted += time.Since(t0).Nanoseconds()
-				// A spent budget is terminal: no replica answers in time that
-				// no longer exists, so the lane stops failing over.
-				terminal = isDeadline(o.err)
-				break wait
-			case <-frames:
-				// The stream is alive: disarm the stall bound. Mid-stream
-				// faults still fail over (with replay suppression); only
-				// the never-started case is time-bounded.
-				if hedgeTimer != nil {
-					hedgeTimer.Stop()
-					hedgeC = nil
-				}
-			case <-hedgeC:
-				stalled = true
-				acancel()
-				o := <-outc // let the cancelled attempt unwind
-				if o.err == nil {
-					// The stream completed in the race window between the
-					// timer firing and the cancellation landing: that is a
-					// win, not a stall — re-issuing would discard a fully
-					// delivered lane.
-					if hedgeTimer != nil {
-						hedgeTimer.Stop()
-					}
-					asp.End()
-					asp.Set(trace.Bool("winner", true))
-					return win(o), nil
-				}
-				asp.Set(trace.Bool("stalled", true))
-				asp.EndErr(o.err)
-				fault.record(attempt, o.err)
-				wasted += time.Since(t0).Nanoseconds()
-				terminal = isDeadline(o.err)
-				break wait
-			}
-		}
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
-		acancel()
-		if terminal {
-			break
-		}
-		// Epoch-aware re-dispatch, as in callLane: a genuine fault re-consults
-		// the live topology and extends the rotation (and attempt budget) with
-		// the shard's new home under a newer epoch.
-		var added int
-		if targets, added = c.reroutedTargets(batch, targets, &lastFresh); added > 0 {
-			max += added
-		}
-	}
-	return Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)
 }

@@ -231,19 +231,20 @@ func TestChunkFrameValidation(t *testing.T) {
 
 // streamWire wires a streaming client engine to peers over the in-memory
 // transport, mirroring wire().
-func streamWire(t *testing.T, sem Semantics, peers map[string]*Server) (*eval.Engine, *StreamedClient) {
+func streamWire(t *testing.T, sem Semantics, peers map[string]*Server) (*eval.Engine, *Client) {
 	t.Helper()
 	tr := NewInMemoryTransport()
 	for name, srv := range peers {
 		tr.Register(name, srv)
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: tr,
 		Semantics: sem,
 		Static:    eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{},
 		Metrics:   &Metrics{},
-	}}
+		Streamed:  true,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	return eng, cl
@@ -357,7 +358,7 @@ func TestStreamedUnknownPeer(t *testing.T) {
 }
 
 // TestStreamedGatherFallback: over a Transport without streaming support the
-// StreamedClient degrades to gather-whole exchanges with identical results.
+// streaming Client degrades to gather-whole exchanges with identical results.
 type gatherOnlyTransport struct{ inner *InMemoryTransport }
 
 func (t gatherOnlyTransport) RoundTrip(peer string, req []byte) ([]byte, error) {
@@ -374,10 +375,11 @@ func TestStreamedGatherFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: gatherOnlyTransport{tr}, Semantics: ByValue, Static: eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
-	}}
+		Streamed: true,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	got, err := eng.QueryString(interleavedScatterSrc)
@@ -400,10 +402,11 @@ func TestStreamedNonStreamingHandler(t *testing.T) {
 	for name, srv := range streamScatterPeers(0) {
 		tr.Register(name, handlerOnly{srv}) // hides StreamHandler
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
-	}}
+		Streamed: true,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	got, err := eng.QueryString(interleavedScatterSrc)
@@ -458,12 +461,10 @@ func TestStreamBackpressureBounded(t *testing.T) {
 	var consumed atomic.Int64
 	tr := &scriptedStream{frames: collectFrames(t, resp, 1), consumed: &consumed}
 
-	cl := &StreamedClient{
-		Client:       &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{}},
-		BufferChunks: buffer,
-	}
+	cl := &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{},
+		Streamed: true, BufferChunks: buffer}
 	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
-	lanes, cancel := cl.CallRemoteScatterStream(x, []eval.ScatterBatch{
+	lanes, cancel := cl.Dispatch(x, []eval.ScatterBatch{
 		{Target: "p", Iterations: [][]xdm.Sequence{{}}},
 	})
 	defer cancel()
@@ -498,12 +499,10 @@ func TestStreamedConsumerAbandon(t *testing.T) {
 	resp.Results = []xdm.Sequence{s}
 	var consumed atomic.Int64
 	tr := &scriptedStream{frames: collectFrames(t, resp, 1), consumed: &consumed}
-	cl := &StreamedClient{
-		Client:       &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{}},
-		BufferChunks: 1,
-	}
+	cl := &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{},
+		Streamed: true, BufferChunks: 1}
 	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
-	lanes, cancel := cl.CallRemoteScatterStream(x, []eval.ScatterBatch{
+	lanes, cancel := cl.Dispatch(x, []eval.ScatterBatch{
 		{Target: "p", Iterations: [][]xdm.Sequence{{}}},
 	})
 	<-lanes[0] // one chunk, then walk away
@@ -546,11 +545,11 @@ func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 	for name, srv := range peers {
 		tr.Register(name, srv)
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
-		MaxConcurrent: 1,
-	}, BufferChunks: 1}
+		MaxConcurrent: 1, Streamed: true, BufferChunks: 1,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 

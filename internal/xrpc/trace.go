@@ -1,19 +1,11 @@
 package xrpc
 
-import (
-	"context"
-	"fmt"
-	"net/http"
-	"strconv"
-	"strings"
+import "distxq/internal/trace"
 
-	"distxq/internal/trace"
-)
-
-// This file carries trace identity across the two places the protocol layer
-// cannot pass it structurally: error returns (a server that faults mid-work
-// still owes the originator its partial spans) and the HTTP hop (the header
-// mirrors the in-band request attributes for proxies and log correlation).
+// This file carries server-side spans across the one place the protocol
+// layer cannot pass them structurally: error returns (a server that faults
+// mid-work still owes the originator its partial spans). Trace identity
+// itself travels in the request body (Request.TraceID/TraceSpan).
 
 // tracedError attaches server-side spans to an error so they survive the
 // trip through MarshalFault on any transport — the in-memory transport, the
@@ -53,51 +45,4 @@ func unwrapOnce(err error) error {
 		return nil
 	}
 	return u.Unwrap()
-}
-
-// TraceHeader mirrors the request's trace identity on the HTTP hop as
-// "<trace-id>-<span-id>", so intermediaries can correlate without parsing
-// the SOAP body.
-const TraceHeader = "X-Xrpc-Trace"
-
-// traceCtxKey carries the (TraceID, SpanID) pair of the in-flight request
-// from the client call site to the HTTP transport.
-type traceCtxKey struct{}
-
-type traceCtxVal struct {
-	id   uint64
-	span uint64
-}
-
-// withTraceInfo stamps the request's trace identity into ctx for the
-// transport layer to surface as TraceHeader.
-func withTraceInfo(ctx context.Context, id, span uint64) context.Context {
-	if id == 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, traceCtxKey{}, traceCtxVal{id: id, span: span})
-}
-
-// setTraceHeader adds TraceHeader to req when ctx carries trace identity.
-func setTraceHeader(req *http.Request, ctx context.Context) {
-	v, ok := ctx.Value(traceCtxKey{}).(traceCtxVal)
-	if !ok {
-		return
-	}
-	req.Header.Set(TraceHeader, fmt.Sprintf("%d-%d", v.id, v.span))
-}
-
-// ParseTraceHeader splits a TraceHeader value into its trace and span IDs,
-// zeroes when absent or malformed.
-func ParseTraceHeader(val string) (id, span uint64) {
-	i := strings.IndexByte(val, '-')
-	if i < 0 {
-		return 0, 0
-	}
-	id, err1 := strconv.ParseUint(val[:i], 10, 64)
-	span, err2 := strconv.ParseUint(val[i+1:], 10, 64)
-	if err1 != nil || err2 != nil {
-		return 0, 0
-	}
-	return id, span
 }
