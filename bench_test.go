@@ -248,43 +248,38 @@ func BenchmarkAblationBulkRPC(b *testing.B) {
 
 // BenchmarkEngineLocal measures raw local evaluation throughput (substrate
 // speed, not a paper figure): the query is parsed and planned once — the way
-// the service's plan cache runs it — and each iteration is pure execution,
-// under the tree-walker and under the compiled closure chains.
+// the service's plan cache runs it — and each iteration is pure execution of
+// the compiled closure chains. The tree-walk baseline of the same workload is
+// BenchmarkEngineLocalTreeWalk in internal/eval.
 func BenchmarkEngineLocal(b *testing.B) {
 	cfg := xmark.DefaultConfig()
 	cfg.Persons, cfg.Items, cfg.Auctions = 100, 50, 0
 	doc := xmark.PeopleDocument(cfg, "xmk.xml")
 	const src = `count(doc("local-people")//person[descendant::age > 30])`
-	for _, mode := range []struct {
-		name    string
-		compile bool
-	}{{"tree-walk", false}, {"compiled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng := eval.NewEngine(eval.ResolverFunc(func(uri string) (*xdm.Document, error) {
-				if uri == "local-people" {
-					return doc, nil
-				}
-				return nil, fmt.Errorf("no such document %q", uri)
-			}))
-			eng.Options.Compile = mode.compile
-			q, err := xq.ParseQuery(src)
-			if err != nil {
-				b.Fatal(err)
+	b.Run("compiled", func(b *testing.B) {
+		eng := eval.NewEngine(eval.ResolverFunc(func(uri string) (*xdm.Document, error) {
+			if uri == "local-people" {
+				return doc, nil
 			}
-			// Warm once: normalization (and, compiled, lowering) happens here
-			// and amortizes across every later execution of the cached plan.
+			return nil, fmt.Errorf("no such document %q", uri)
+		}))
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Warm once: normalization and lowering happen here and amortize
+		// across every later execution of the cached plan.
+		if _, err := eng.Query(q); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if _, err := eng.Query(q); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblationWAN reruns the Figure 9 comparison on the WAN link model

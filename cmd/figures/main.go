@@ -33,12 +33,9 @@ func main() {
 		"compare this run's load points against a baseline -json file (e.g. BENCH_baseline.json); exit nonzero on regression beyond -tolerance")
 	tolerance := flag.Float64("tolerance", 0.25,
 		"fractional regression allowed by -check in goodput (down) and admitted P99 (up)")
-	compile := flag.Bool("compile", false,
-		"run every engine (peers and originators) through the compiled closure-chain executor")
 	traceOut := flag.String("trace-out", "",
 		"with -fig trace: also write the live run's span tree as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 	flag.Parse()
-	bench.Compile = *compile
 	sink := newJSONSink()
 
 	var sizes []int64

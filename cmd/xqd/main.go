@@ -77,8 +77,6 @@ func main() {
 	hedgeAfter := flag.Duration("hedge-after", 20*time.Millisecond,
 		"static hedge trigger until the health tracker has observed enough traffic (0 = off)")
 	spread := flag.Bool("spread", true, "spread initial lane targets across healthy replicas")
-	compile := flag.Bool("compile", false,
-		"compile cached plans into the closure-chain executor (one lowering per plan, shared across queries)")
 	traced := flag.Bool("trace", false,
 		"record a span tree per query, served at /debug/traces")
 	traceRing := flag.Int("trace-ring", 0, "recent traces retained (0 = default)")
@@ -132,7 +130,6 @@ func main() {
 		MaxQueueWait:  *queueWait,
 		DefaultBudget: core.Budget{Wall: *budget},
 		Streamed:      *streamed,
-		Compile:       *compile,
 		Trace:         *traced,
 		TraceRing:     *traceRing,
 	})

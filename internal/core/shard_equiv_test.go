@@ -17,6 +17,7 @@ import (
 	"distxq/internal/peer"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
+	"distxq/internal/xq"
 )
 
 // harnessConfig is the shared document shape: a person count not divisible
@@ -62,6 +63,17 @@ func newShardedWorld(t *testing.T, cfg xmark.Config, n int) *shardedWorld {
 		return w.refDoc, nil
 	}))
 	return w
+}
+
+// reference evaluates src over the unsharded document on the tree-walk
+// oracle, keeping the expected results independent of the compiler that
+// runs the sharded side.
+func (w *shardedWorld) reference(src string) (xdm.Sequence, error) {
+	q, err := xq.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	return eval.TreeWalk(w.refEng, q)
 }
 
 // buildReference constructs the unsharded logical document independently of
@@ -255,24 +267,23 @@ func TestShardRewriteEquivalence(t *testing.T) {
 					fellBack++
 				}
 				for _, w := range worlds {
-					localRes, err := w.refEng.QueryString(q.src)
+					localRes, err := w.reference(q.src)
 					if err != nil {
 						t.Fatalf("query %d (%d peers) local eval: %v\n%s", qi, w.peers, err, q.src)
 					}
-					// Tree-walking and compiled execution must both match the
-					// unsharded reference (which always tree-walks, keeping
-					// the oracle independent of the compiler).
-					for _, compiled := range []bool{false, true} {
-						w.net.SetCompile(compiled)
+					// Gather-whole and streamed dispatch must both match the
+					// unsharded reference, which tree-walks.
+					for _, streamed := range []bool{false, true} {
 						sess := w.net.NewSession(w.local, core.ByFragment).
-							UseShards(w.shardMap).UseCompile(compiled)
+							UseShards(w.shardMap)
+						sess.Streamed = streamed
 						shardRes, rep, err := sess.Query(q.src)
 						if err != nil {
-							t.Fatalf("query %d (%d peers, compiled=%v) sharded eval: %v\n%s", qi, w.peers, compiled, err, q.src)
+							t.Fatalf("query %d (%d peers, streamed=%v) sharded eval: %v\n%s", qi, w.peers, streamed, err, q.src)
 						}
 						if got, want := serializeSeq(shardRes), serializeSeq(localRes); got != want {
-							t.Fatalf("query %d (%d peers, compiled=%v) diverged:\n query: %s\n local: %q\n shard: %q\n decisions: %+v",
-								qi, w.peers, compiled, q.src, want, got, rep.Shards)
+							t.Fatalf("query %d (%d peers, streamed=%v) diverged:\n query: %s\n local: %q\n shard: %q\n decisions: %+v",
+								qi, w.peers, streamed, q.src, want, got, rep.Shards)
 						}
 						if len(rep.Shards) == 0 {
 							t.Fatalf("query %d (%d peers): no shard decision recorded\n%s", qi, w.peers, q.src)
@@ -282,7 +293,6 @@ func TestShardRewriteEquivalence(t *testing.T) {
 								qi, w.peers, rep.Shards[0].Scattered, rep.Shards[0].Reason, q.topScatter, q.src)
 						}
 					}
-					w.net.SetCompile(false)
 				}
 			}
 			if scattered < 100 || fellBack < 50 {
@@ -298,21 +308,21 @@ func TestShardRewriteEquivalence(t *testing.T) {
 func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 	cfg := harnessConfig()
 	w := newShardedWorld(t, cfg, 4)
-	localRes, err := w.refEng.QueryString(xmark.LogicalScatterQuery())
+	localRes, err := w.reference(xmark.LogicalScatterQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := serializeSeq(localRes)
 	for _, strat := range []core.Strategy{core.DataShipping, core.ByValue, core.ByFragment, core.ByProjection} {
-		for _, compiled := range []bool{false, true} {
-			w.net.SetCompile(compiled)
-			sess := w.net.NewSession(w.local, strat).UseShards(w.shardMap).UseCompile(compiled)
+		for _, streamed := range []bool{false, true} {
+			sess := w.net.NewSession(w.local, strat).UseShards(w.shardMap)
+			sess.Streamed = streamed
 			res, rep, err := sess.Query(xmark.LogicalScatterQuery())
 			if err != nil {
-				t.Fatalf("%s (compiled=%v): %v", strat, compiled, err)
+				t.Fatalf("%s (streamed=%v): %v", strat, streamed, err)
 			}
 			if got := serializeSeq(res); got != want {
-				t.Fatalf("%s (compiled=%v) diverged:\n local: %q\n shard: %q", strat, compiled, want, got)
+				t.Fatalf("%s (streamed=%v) diverged:\n local: %q\n shard: %q", strat, streamed, want, got)
 			}
 			if strat != core.DataShipping {
 				if len(rep.Shards) == 0 || !rep.Shards[0].Scattered {
@@ -320,6 +330,5 @@ func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 				}
 			}
 		}
-		w.net.SetCompile(false)
 	}
 }

@@ -16,8 +16,8 @@ package eval
 //     builtins) skip the numeric-position test entirely.
 //   - Comparisons specialize by static operand kind: a constant operand is
 //     atomized once at compile time.
-//   - FLWOR spines compile to iterator pipelines mirroring the lazy
-//     evaluator, including the >4-iteration invariant-hoisting heuristic.
+//   - FLWOR spines compile to iterator pipelines, including the tree-walker's
+//     >4-iteration invariant-hoisting heuristic.
 //
 // Anything outside the proven subset — constructors, remote calls, order-by
 // loops, loops nested beyond maxCompiledForDepth — compiles to a fallback
@@ -692,7 +692,7 @@ func (fc *fnCompiler) compilePathParts(v *xq.PathExpr, sc *scope) (cexpr, []*cst
 	}
 	steps := make([]*cstep, len(v.Steps))
 	for i, st := range v.Steps {
-		cs := &cstep{axis: st.Axis, test: st.Test, filter: st.Filter, streamable: stepStreamable(st)}
+		cs := &cstep{axis: st.Axis, test: st.Test, filter: st.Filter}
 		for _, p := range st.Preds {
 			pred := cpred{b: fc.compileBool(p, sc)}
 			if pred.b == nil {
@@ -906,7 +906,7 @@ func simpleDownwardPath(p *xq.PathExpr) bool {
 
 // replaySeq adapts an eager compiled expression to the lazy interface:
 // nothing runs until the first pull, then the result materializes and
-// replays — the compiled deferEval.
+// replays.
 func replaySeq(ce cexpr) cseq {
 	return func(f *cframe) xdm.Seq {
 		return func(yield func(xdm.Item) bool) error {
@@ -924,9 +924,28 @@ func replaySeq(ce cexpr) cseq {
 	}
 }
 
-// compileSeq lowers one expression to its lazy compiled form — the compiled
-// twin of context.evalSeq, case for case: the same expressions stream, and
-// everything else replays its eager form.
+// compileSeq lowers one expression to its lazy compiled form. The laziness
+// contract, also documented in DESIGN.md:
+//
+//   - Sequence construction (a, b), let, if/else, typeswitch and FLWOR bodies
+//     without order-by stream: items of earlier parts/iterations are yielded
+//     before later parts are evaluated. A FLWOR's input evaluates whole
+//     first, as in the eager form.
+//   - The final step of a path streams when it provably preserves distinct
+//     document order without a sort barrier: a downward axis (child,
+//     attribute, self, descendant, descendant-or-self) over context nodes
+//     that are already in document order with disjoint subtrees, or a filter
+//     step. A single predicate streams positionally — it may call position()
+//     but not last(), which needs the full candidate count.
+//   - Everything else — sorting (order by), reverse axes, node-set operators,
+//     aggregates, overlapping path contexts, steps with several predicates,
+//     remote loops — materializes exactly as the eager form does, then
+//     replays. Laziness never changes the produced items, nor the fault a
+//     failing evaluation reports, only when items are produced.
+//
+// Deadlines keep working mid-stream: every producer consults the shared
+// stopCheck as it runs, so a deadline abort surfaces at the pull site as
+// ErrDeadlineExceeded after a (valid) prefix of the result.
 func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 	switch v := e.(type) {
 	case nil:
@@ -1097,11 +1116,16 @@ func (fc *fnCompiler) compileTypeswitchSeq(v *xq.TypeswitchExpr, sc *scope) cseq
 	}
 }
 
-// compileForSeq lowers a FLWOR loop to the streaming pipeline of forSeq:
-// each iteration's body items are yielded before the next input item is
-// pulled, the first four inputs are buffered until the hoisting heuristic
-// decides, and the remote special cases defer to the eager evaluator at
-// runtime exactly as evalSeq does.
+// compileForSeq lowers a FLWOR loop to a streaming pipeline: each
+// iteration's body items are yielded before the next input item is pulled,
+// and the first four inputs are buffered until the >4-iteration hoisting
+// heuristic decides. The eager form evaluates the input whole before any
+// body, so an input fault beats every body fault; to report the same error
+// without giving up streaming, a body or hoisted-binding fault stops the
+// bodies but drains the rest of the input, and an input fault found there
+// wins. A loop whose body is a remote call defers to the eager tree-walk
+// fallback at runtime when the engine has a remote caller: bulk and scatter
+// dispatch gather whole results by design.
 func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 	if len(v.OrderBy) > 0 || fc.forDepth >= maxCompiledForDepth {
 		return replaySeq(fc.fallback(v, sc))
@@ -1129,90 +1153,68 @@ func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 	}
 	fc.forDepth--
 	return func(f *cframe) xdm.Seq {
+		if fb != nil && f.ctx.eng.Remote != nil {
+			return replaySeq(fb)(f)
+		}
 		return func(yield func(xdm.Item) bool) error {
-			if fb != nil && f.ctx.eng.Remote != nil {
-				s, err := fb(f)
-				if err != nil {
-					return err
-				}
-				for _, it := range s {
-					if !yield(it) {
-						return nil
-					}
-				}
-				return nil
-			}
 			if err := f.ctx.stop.check(); err != nil {
 				return err
 			}
 			body := plain
-			runBody := func(it xdm.Item) (bool, error) {
+			var bodyErr error // first body fault; the input still drains
+			stopped := false
+			runBody := func(it xdm.Item) bool {
 				f.slots[slot] = xdm.Singleton(it)
-				stopped := false
-				err := body(f)(func(x xdm.Item) bool {
+				bodyErr = body(f)(func(x xdm.Item) bool {
 					if !yield(x) {
 						stopped = true
 						return false
 					}
 					return true
 				})
-				return !stopped, err
+				return bodyErr == nil && !stopped
 			}
 			var buf xdm.Sequence
-			var inErr error
-			hoisted := false
-			stopped := false
+			decided := false
 			err := in(f)(func(it xdm.Item) bool {
-				if !hoisted {
-					buf = append(buf, it)
-					if len(buf) <= 4 {
-						return true
-					}
-					hoisted = true
-					if hoistedBody != nil {
-						body = hoistedBody
-						for i, hb := range hoistBinds {
-							val, err := hb(f)
-							if err != nil {
-								inErr = err
-								return false
-							}
-							f.slots[hoistSlots[i]] = val
-						}
-					}
-					for _, b := range buf {
-						cont, err := runBody(b)
-						if err != nil || !cont {
-							inErr, stopped = err, !cont
-							return false
-						}
-					}
-					buf = nil
+				if bodyErr != nil {
 					return true
 				}
-				cont, err := runBody(it)
-				if err != nil || !cont {
-					inErr, stopped = err, !cont
-					return false
+				if decided {
+					return runBody(it) || bodyErr != nil
 				}
+				if buf = append(buf, it); len(buf) <= 4 {
+					return true
+				}
+				decided = true
+				if hoistedBody != nil {
+					body = hoistedBody
+					for i, hb := range hoistBinds {
+						val, err := hb(f)
+						if err != nil {
+							bodyErr = err
+							return true
+						}
+						f.slots[hoistSlots[i]] = val
+					}
+				}
+				for _, b := range buf {
+					if !runBody(b) {
+						return bodyErr != nil
+					}
+				}
+				buf = nil
 				return true
 			})
 			if err != nil {
 				return err
 			}
-			if inErr != nil {
-				return inErr
-			}
-			if stopped {
-				return nil
+			if bodyErr != nil || stopped {
+				return bodyErr
 			}
 			for _, b := range buf { // short loop: never hoisted, replay now
-				cont, err := runBody(b)
-				if err != nil {
-					return err
-				}
-				if !cont {
-					return nil
+				if !runBody(b) {
+					return bodyErr
 				}
 			}
 			return nil

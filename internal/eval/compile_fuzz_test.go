@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -136,11 +137,28 @@ var compiledFuzzSeeds = []string{
 	`string-join(for $b in doc("a.xml")//book return $b/title/text(), "|")`,
 }
 
+// treeWalkFunction is EvalFunctionDeadline (no static override, no
+// deadline) on the tree-walker alone: the declared function is found in
+// declaration order and its body walked.
+func treeWalkFunction(e *Engine, q *xq.Query, name string, args []xdm.Sequence) (xdm.Sequence, error) {
+	if err := xq.Normalize(q); err != nil {
+		return nil, err
+	}
+	ctx := e.newContext(q.Funcs)
+	for _, f := range q.Funcs {
+		if f.Name == name && len(f.Params) == len(args) {
+			return ctx.callDeclared(f, args)
+		}
+	}
+	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
+}
+
 // FuzzCompiledVsTreeWalk is the differential fuzzer of the compiler: every
 // parsed query must evaluate byte-identically (or fault with the identical
-// error) with Options.Compile on and off, through both the eager and the
-// lazy entry points. Deadline aborts are the single tolerated asymmetry —
-// they depend on wall-clock timing, which the two modes legitimately reach
+// error) on the compiled executor and on the eager tree-walker (TreeWalk),
+// through both compiled entry points — the lazy QuerySeq and the eager
+// Program body. Deadline aborts are the single tolerated asymmetry — they
+// depend on wall-clock timing, which the two executors legitimately reach
 // at different node counts.
 func FuzzCompiledVsTreeWalk(f *testing.F) {
 	for _, seed := range compiledFuzzSeeds {
@@ -166,7 +184,6 @@ func FuzzCompiledVsTreeWalk(f *testing.F) {
 		tw.Deadline = deadline
 		cc := NewEngine(anyDocResolver{doc})
 		cc.Deadline = deadline
-		cc.Options.Compile = true
 
 		// Probe normalization on a scratch parse: Normalize mutates (and
 		// validates) once, so probing q1/q2 directly would eat the error the
@@ -177,28 +194,29 @@ func FuzzCompiledVsTreeWalk(f *testing.F) {
 		}
 		normErr := xq.Normalize(q0)
 
-		twRes, twErr := tw.Query(q1)
+		twRes, twErr := TreeWalk(tw, q1)
+		if errors.Is(twErr, ErrDeadlineExceeded) {
+			return
+		}
 		ccRes, ccErr := cc.Query(q2)
-		if errors.Is(twErr, ErrDeadlineExceeded) || errors.Is(ccErr, ErrDeadlineExceeded) {
+		if errors.Is(ccErr, ErrDeadlineExceeded) {
 			return
 		}
 		compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
 		if normErr != nil {
-			// Normalization rejected the query in both modes identically;
-			// there is nothing to compile.
+			// Normalization rejected the query on both executors
+			// identically; there is nothing to compile.
 			return
 		}
 
-		// The eager halves: the tree-walker's eval against the compiled
-		// Program's eager body (the path function calls take).
-		twCtx := tw.newContext(q1.Funcs)
-		twRes, twErr = twCtx.eval(q1.Body)
+		// The eager half: the compiled Program's eager body (the path
+		// function calls take) against the same tree-walk result.
 		p, err := CompileQuery(q2)
 		if err != nil {
 			t.Fatalf("CompileQuery: %v\ninput: %q", err, src)
 		}
 		ccRes, ccErr = p.run(cc.newContext(q2.Funcs))
-		if errors.Is(twErr, ErrDeadlineExceeded) || errors.Is(ccErr, ErrDeadlineExceeded) {
+		if errors.Is(ccErr, ErrDeadlineExceeded) {
 			return
 		}
 		compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)

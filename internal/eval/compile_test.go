@@ -11,9 +11,10 @@ import (
 	"distxq/internal/xq"
 )
 
-// expectCompiled evaluates src in both modes over docs and requires
-// byte-identical serialized results (or identical faults) — the deterministic
-// core of the differential fuzzer, used for pinned regressions.
+// expectCompiled evaluates src on the tree-walk oracle and through both
+// compiled entry points over docs and requires byte-identical serialized
+// results (or identical faults) — the deterministic core of the differential
+// fuzzer, used for pinned regressions.
 func expectCompiled(t *testing.T, docs mapResolver, src string) {
 	t.Helper()
 	q1, err := xq.ParseQuery(src)
@@ -26,19 +27,17 @@ func expectCompiled(t *testing.T, docs mapResolver, src string) {
 	}
 	tw := NewEngine(docs)
 	cc := NewEngine(docs)
-	cc.Options.Compile = true
 	q0, err := xq.ParseQuery(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	normErr := xq.Normalize(q0)
-	twRes, twErr := tw.Query(q1)
+	twRes, twErr := TreeWalk(tw, q1)
 	ccRes, ccErr := cc.Query(q2)
 	compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
 	if normErr != nil {
 		return
 	}
-	twRes, twErr = tw.newContext(q1.Funcs).eval(q1.Body)
 	p, err := CompileQuery(q2)
 	if err != nil {
 		t.Fatalf("CompileQuery: %v\n%s", err, src)
@@ -110,6 +109,12 @@ func TestCompiledEquivalenceRegressions(t *testing.T) {
 		`concat("one")`,
 		`execute at {"p"} { young() }`,
 		`doc("missing://really")/x`,
+		// Fault precedence of the lazy form must match the eager one: a
+		// loop input fails before any hoisted binding or body runs, and the
+		// second of two streamed predicates must not fail first.
+		`for $x in (1, 2, 3, 4, 5, .) return if (100) then (nofn("x") * nofn2) else 0`,
+		`for $x in (1, 2, 3, 4, 5, .) return 1 idiv 0`,
+		`doc("f.xml")/site/books/book[if (position() = 2) then nofn() else true()][(1 idiv 0) = 1]`,
 	}
 	for _, src := range queries {
 		expectCompiled(t, docs, src)
@@ -128,7 +133,6 @@ func TestCompiledDeadlineAbortsMidStream(t *testing.T) {
 	}
 	sb.WriteString("</r>")
 	e := NewEngine(mapResolver{"big.xml": sb.String()})
-	e.Options.Compile = true
 	q, err := xq.ParseQuery(`doc("big.xml")/r/x`)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +160,6 @@ func TestCompiledDeadlineAbortsMidStream(t *testing.T) {
 // sequence still aborts.
 func TestCompiledDeadlineInsideLoop(t *testing.T) {
 	e := NewEngine(mapResolver{})
-	e.Options.Compile = true
 	q, err := xq.ParseQuery(`declare function local:burn($n as xs:integer) as xs:integer
 		{ if ($n <= 0) then 0 else local:burn($n - 1) };
 		for $i in (1, 2, 3, 4, 5, 6, 7, 8) return local:burn(2000000)`)
@@ -174,8 +177,7 @@ func TestCompiledDeadlineInsideLoop(t *testing.T) {
 }
 
 // TestCompiledFunctionEntryPoints: the server-side function entry points
-// honour Options.Compile and agree with the tree-walker, including the
-// undeclared-function fault.
+// agree with the tree-walk oracle, including the undeclared-function fault.
 func TestCompiledFunctionEntryPoints(t *testing.T) {
 	src := `declare function local:f($d as item()*) as item()* { for $x in $d//person return $x/child::name }; 1`
 	docs := mapResolver{"f.xml": fuzzFixtureXML}
@@ -188,11 +190,10 @@ func TestCompiledFunctionEntryPoints(t *testing.T) {
 	}
 	tw := NewEngine(docs)
 	cc := NewEngine(docs)
-	cc.Options.Compile = true
 	q1, _ := xq.ParseQuery(src)
 	q2, _ := xq.ParseQuery(src)
-	twRes, twErr := tw.EvalFunction(q1, "local:f", []xdm.Sequence{arg(tw)})
-	ccRes, ccErr := cc.EvalFunction(q2, "local:f", []xdm.Sequence{arg(cc)})
+	twRes, twErr := treeWalkFunction(tw, q1, "local:f", []xdm.Sequence{arg(tw)})
+	ccRes, ccErr := cc.EvalFunctionDeadline(q2, "local:f", []xdm.Sequence{arg(cc)}, nil, time.Time{})
 	compareModes(t, "function", src, twRes, twErr, ccRes, ccErr)
 	if serialize(ccRes) == "" {
 		t.Fatal("function returned nothing; fixture mismatch")
@@ -210,10 +211,35 @@ func TestCompiledFunctionEntryPoints(t *testing.T) {
 		t.Fatalf("lazy function diverged: %q vs %q", serialize(lazyRes), serialize(twRes))
 	}
 	// Undeclared-function fault text must match the tree-walker's.
-	_, twErr = tw.EvalFunction(q1, "local:g", nil)
-	_, ccErr = cc.EvalFunction(q2, "local:g", nil)
+	_, twErr = treeWalkFunction(tw, q1, "local:g", nil)
+	_, ccErr = cc.EvalFunctionDeadline(q2, "local:g", nil, nil, time.Time{})
 	if twErr == nil || ccErr == nil || twErr.Error() != ccErr.Error() {
 		t.Fatalf("undeclared fault diverged: %v vs %v", twErr, ccErr)
+	}
+}
+
+// TestFunctionSeqFaultPrecedence: a typed `T*` function streamed through
+// EvalFunctionSeqDeadline reports the same fault as EvalFunctionDeadline — a
+// body fault after a mismatching item wins over the type fault, because the
+// eager call checks types only on a complete result.
+func TestFunctionSeqFaultPrecedence(t *testing.T) {
+	src := `declare function local:f() as xs:integer* { ("a", 1 idiv 0) };
+	        declare function local:g() as xs:integer* { (1, "b", 2) }; 1`
+	for _, name := range []string{"local:f", "local:g"} {
+		e := NewEngine(mapResolver{})
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, eagerErr := e.EvalFunctionDeadline(q, name, nil, nil, time.Time{})
+		s, err := e.EvalFunctionSeqDeadline(q, name, nil, nil, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lazyErr := s.Materialize()
+		if eagerErr == nil || lazyErr == nil || eagerErr.Error() != lazyErr.Error() {
+			t.Errorf("%s: eager fault %v, streamed fault %v", name, eagerErr, lazyErr)
+		}
 	}
 }
 
@@ -226,7 +252,6 @@ func TestCompiledArtifactShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := NewEngine(mapResolver{})
-	e1.Options.Compile = true
 	if _, err := e1.Query(q); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +265,6 @@ func TestCompiledArtifactShared(t *testing.T) {
 		t.Fatalf("re-execution recompiled: %d compilations", got)
 	}
 	e2 := NewEngine(mapResolver{})
-	e2.Options.Compile = true
 	if _, err := e2.Query(q); err != nil {
 		t.Fatal(err)
 	}

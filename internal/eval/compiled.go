@@ -20,23 +20,13 @@ import (
 	"distxq/internal/xq"
 )
 
-// Options selects optional engine behaviors.
-type Options struct {
-	// Compile lowers queries into chains of pre-resolved closures before
-	// execution (variables become frame slots, constants fold, downward path
-	// steps become direct scans with fused predicates) instead of walking the
-	// AST per evaluation. Results and errors are identical either way; only
-	// speed changes. The compiled artifact is cached on the *xq.Query, so
-	// every engine executing a shared plan reuses one compilation.
-	Compile bool
-}
-
 // cexpr is a compiled expression: evaluate eagerly against a frame.
 type cexpr func(*cframe) (xdm.Sequence, error)
 
-// cseq is a compiled lazy expression: the twin of context.evalSeq. The
-// returned xdm.Seq reads the frame at pull time, synchronously with the
-// producing loop, so slot values are always the binding in scope.
+// cseq is a compiled lazy expression (see compileSeq for its laziness
+// contract). The returned xdm.Seq reads the frame at pull time,
+// synchronously with the producing loop, so slot values are always the
+// binding in scope.
 type cseq func(*cframe) xdm.Seq
 
 // cbool is a compiled boolean-valued expression (comparison, logic, boolean
@@ -137,9 +127,11 @@ func (cf *cfunc) call(ctx *context, args []xdm.Sequence) (xdm.Sequence, error) {
 	return res, nil
 }
 
-// callSeq mirrors callDeclaredSeq: parameters check eagerly (faults beat
+// callSeq is call with a lazy body: parameters check eagerly (faults beat
 // frames), then the body streams when the declared occurrence is `*` and
-// materializes-then-checks otherwise.
+// materializes-then-checks otherwise, since occurrence constraints need the
+// whole result. Shipped XRPC functions declare `item()*` results, so the
+// common server path streams unchecked.
 func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 	for i, p := range cf.decl.Params {
 		if err := checkSeqType(args[i], p.Type); err != nil {
@@ -174,11 +166,17 @@ func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 		}, nil
 	}
 	return func(yield func(xdm.Item) bool) error {
+		// After the first mismatching item nothing more is yielded, but the
+		// body still runs to its end: a later body fault beats the type
+		// fault, as in call, which checks only a complete result.
 		var typeErr error
 		err := cf.bodySeq(newFrame())(func(it xdm.Item) bool {
+			if typeErr != nil {
+				return true
+			}
 			if !itemMatches(it, cf.decl.Return.Item) {
 				typeErr = fmt.Errorf("eval: %s result: item %v does not match type %s", cf.decl.Name, it, cf.decl.Return.Item)
-				return false
+				return true
 			}
 			return yield(it)
 		})
@@ -211,11 +209,10 @@ func (f *cframe) frameChain(sc *scope) *frame {
 // cstep is one compiled path step: pre-resolved axis/test plus compiled
 // predicates.
 type cstep struct {
-	axis       xq.Axis
-	test       xq.NodeTest
-	filter     bool
-	preds      []cpred
-	streamable bool
+	axis   xq.Axis
+	test   xq.NodeTest
+	filter bool
+	preds  []cpred
 }
 
 // cpred is one compiled predicate. When b is non-nil the predicate is
@@ -428,8 +425,8 @@ func (f *cframe) runFilterItems(items xdm.Sequence, preds []cpred) (xdm.Sequence
 // evalPred decides one predicate candidate at the given focus. Fused boolean
 // predicates skip the numeric-position rule — their value is provably a
 // boolean singleton, which the general rule maps to its effective boolean
-// value anyway. size 0 means "streaming, size unobservable" exactly as in
-// evalStreamPred.
+// value anyway. size 0 means "streaming, size unobservable": stepStreamable
+// admits no predicate that calls last(), the only observer of size.
 func (f *cframe) evalPred(pred cpred, it xdm.Item, pos, size int) (bool, error) {
 	oi, op, os := f.item, f.pos, f.size
 	f.item, f.pos, f.size = it, pos, size
@@ -553,9 +550,14 @@ func scanSubtreeExists(n *xdm.Node, st *xq.Step, check func(*xdm.Node) (bool, er
 	return false, nil
 }
 
-// streamStep streams a compiled final step — the mirror of streamStep/
-// predSink in lazy.go, with compiled predicates. The axis walk itself is
-// walkAxis, shared with the lazy tree-walker.
+// streamCompiledStep yields a final step's result incrementally: per context
+// node, walk the axis in document order (walkAxis) and push candidates
+// through the predicate chain straight to the consumer. Position counters
+// reset per context node, matching the eager per-segment predicate
+// semantics; position is the 1-based count of candidates reaching a
+// predicate (the survivors of the preceding ones). The concatenation of
+// segments is in distinct document order by the OrderedDisjointNodes
+// precondition, so no sort barrier is needed.
 func (f *cframe) streamCompiledStep(nodes []*xdm.Node, st *cstep, yield func(xdm.Item) bool) error {
 	for _, n := range nodes {
 		sink := nodeSink(func(m *xdm.Node) (bool, error) {
@@ -587,8 +589,9 @@ func (f *cframe) streamCompiledStep(nodes []*xdm.Node, st *cstep, yield func(xdm
 	return nil
 }
 
-// streamFilterItems streams a compiled final filter step — the mirror of
-// filterItemsSeq.
+// streamFilterItems streams a final filter step over a materialized input
+// sequence: positions count over the whole sequence per predicate layer, as
+// in the eager runFilterItems.
 func (f *cframe) streamFilterItems(items xdm.Sequence, preds []cpred, yield func(xdm.Item) bool) error {
 	sink := func(it xdm.Item) (bool, error) {
 		return yield(it), nil

@@ -1,8 +1,16 @@
-// Package eval implements a tree-walking evaluator for the xq dialect over
-// the xdm data model. It provides the local XQuery engine that peers run, the
-// document resolver abstraction (which is where data-shipping vs. function-
-// shipping strategies plug in), and the RemoteCaller hook through which
-// XRPCExpr nodes perform remote procedure calls.
+// Package eval implements the evaluator for the xq dialect over the xdm data
+// model. It provides the local XQuery engine that peers run, the document
+// resolver abstraction (which is where data-shipping vs. function-shipping
+// strategies plug in), and the RemoteCaller hook through which XRPCExpr nodes
+// perform remote procedure calls.
+//
+// There is one executor: every entry point (Query, QuerySeq,
+// EvalFunctionDeadline, EvalFunctionSeqDeadline) lowers the query once into
+// a Program of closure chains (compile.go), caches it on the *xq.Query, and
+// runs it, eagerly or as a pull-based xdm.Seq. The tree-walker (eval.go) is
+// the Program's node-level fallback for shapes outside the compiled subset
+// (constructors, remote calls, order-by) and, as TreeWalk, the differential
+// oracle the equivalence tests hold compiled results against.
 //
 // The layer's contract: Engine evaluates a normalized query exactly per the
 // xq semantics, resolving fn:doc through its Resolver (with single-flighted
@@ -119,9 +127,6 @@ type Engine struct {
 	Resolver Resolver
 	Remote   RemoteCaller
 	Static   StaticContext
-	// Options selects evaluation-strategy knobs; the zero value is the plain
-	// tree-walker.
-	Options Options
 	// Replicas maps a scatter target peer to its ordered failover replicas:
 	// peers holding an equivalent copy of the target's data (same documents
 	// under the same paths), so a fault-tolerant RemoteCaller can re-route a
@@ -138,7 +143,7 @@ type Engine struct {
 	// shard decisions.
 	ReplicaRoutes map[*xq.XRPCExpr]map[string][]string
 	// Deadline, when non-zero, bounds every evaluation started through this
-	// engine: the tree-walker checks it periodically and aborts with
+	// engine: evaluation checks it periodically and aborts with
 	// ErrDeadlineExceeded once it passes. Sessions set it on their
 	// query-local engine from the query budget; peers serving many requests
 	// use the per-call EvalFunctionDeadline instead.
@@ -305,20 +310,26 @@ func (e *Engine) Doc(uri string) (*xdm.Document, error) {
 	return ent.doc, ent.err
 }
 
-// ResetDocCache clears cached documents (used between benchmark runs).
-func (e *Engine) ResetDocCache() {
-	e.mu.Lock()
-	e.docCache = nil
-	e.Stats = Stats{}
-	e.mu.Unlock()
-}
-
 // StatsSnapshot returns a consistent copy of the evaluation counters; use it
 // instead of reading Stats directly while queries may be in flight.
 func (e *Engine) StatsSnapshot() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.Stats
+}
+
+// QuerySeq normalizes and compiles a parsed query and returns its result as
+// a lazy sequence. Nothing is evaluated until the sequence is pulled; the
+// laziness contract is the compiled lazy form's (see compileSeq).
+func (e *Engine) QuerySeq(q *xq.Query) (xdm.Seq, error) {
+	if err := xq.Normalize(q); err != nil {
+		return nil, err
+	}
+	p, err := e.program(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.runSeq(e.newContext(q.Funcs)), nil
 }
 
 // Query normalizes and evaluates a parsed query. It is QuerySeq plus
@@ -341,51 +352,22 @@ func (e *Engine) QueryString(src string) (xdm.Sequence, error) {
 	return e.Query(q)
 }
 
-// EvalFunction evaluates a declared function with the given arguments; the
-// XRPC server side uses it to run shipped functions.
-func (e *Engine) EvalFunction(q *xq.Query, name string, args []xdm.Sequence) (xdm.Sequence, error) {
-	return e.EvalFunctionStatic(q, name, args, nil)
-}
-
-// EvalFunctionStatic evaluates a declared function under an optional static
-// context override — how XRPC propagates the caller's static-base-uri,
-// default-collation and current-dateTime to the remote peer (Problem 5
-// class 1).
-func (e *Engine) EvalFunctionStatic(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext) (xdm.Sequence, error) {
-	return e.EvalFunctionDeadline(q, name, args, static, time.Time{})
-}
-
-// EvalFunctionDeadline is EvalFunctionStatic bounded by a per-call deadline:
-// once it passes, the tree-walk aborts with ErrDeadlineExceeded and the
-// engine's DeadlineAborts counter records the abandoned work. A zero
-// deadline means unbounded. This is the server-side half of budget
-// propagation — a peer stops evaluating a shipped function the moment the
-// originator's budget expires instead of computing a result nobody will
-// gather.
+// EvalFunctionDeadline evaluates a declared function of q with the given
+// arguments — the XRPC server side uses it to run shipped functions. static,
+// when non-nil, overrides the engine's static context: that is how XRPC
+// propagates the caller's static-base-uri, default-collation and
+// current-dateTime to the remote peer (Problem 5 class 1). Once deadline
+// passes, evaluation aborts with ErrDeadlineExceeded and the engine's
+// DeadlineAborts counter records the abandoned work; a zero deadline means
+// unbounded. This is the server-side half of budget propagation — a peer
+// stops evaluating a shipped function the moment the originator's budget
+// expires instead of computing a result nobody will gather.
 func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Sequence, error) {
-	if err := xq.Normalize(q); err != nil {
+	p, ctx, err := e.prepareCall(q, static, deadline)
+	if err != nil {
 		return nil, err
 	}
-	ctx := e.newContext(q.Funcs)
-	if static != nil {
-		ctx.static = *static
-	}
-	if !deadline.IsZero() {
-		ctx.stop = &stopCheck{eng: e, deadline: deadline}
-	}
-	if e.Options.Compile {
-		p, err := e.program(q)
-		if err != nil {
-			return nil, err
-		}
-		return p.callFunction(ctx, name, args)
-	}
-	for _, f := range q.Funcs {
-		if f.Name == name && len(f.Params) == len(args) {
-			return ctx.callDeclared(f, args)
-		}
-	}
-	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
+	return p.callFunction(ctx, name, args)
 }
 
 // EvalFunctionSeqDeadline is the lazy twin of EvalFunctionDeadline: it
@@ -396,8 +378,22 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 // occurrence is `*` and falls back to materialize-then-check otherwise,
 // since occurrence constraints need the whole result.
 func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Seq, error) {
-	if err := xq.Normalize(q); err != nil {
+	p, ctx, err := e.prepareCall(q, static, deadline)
+	if err != nil {
 		return nil, err
+	}
+	return p.callFunctionSeq(ctx, name, args)
+}
+
+// prepareCall normalizes and compiles q and builds the context of one
+// function call under the optional static override and deadline.
+func (e *Engine) prepareCall(q *xq.Query, static *StaticContext, deadline time.Time) (*Program, *context, error) {
+	if err := xq.Normalize(q); err != nil {
+		return nil, nil, err
+	}
+	p, err := e.program(q)
+	if err != nil {
+		return nil, nil, err
 	}
 	ctx := e.newContext(q.Funcs)
 	if static != nil {
@@ -406,19 +402,7 @@ func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Se
 	if !deadline.IsZero() {
 		ctx.stop = &stopCheck{eng: e, deadline: deadline}
 	}
-	if e.Options.Compile {
-		p, err := e.program(q)
-		if err != nil {
-			return nil, err
-		}
-		return p.callFunctionSeq(ctx, name, args)
-	}
-	for _, f := range q.Funcs {
-		if f.Name == name && len(f.Params) == len(args) {
-			return ctx.callDeclaredSeq(f, args)
-		}
-	}
-	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
+	return p, ctx, nil
 }
 
 // program returns the query's compiled Program, compiling (and caching the
@@ -554,56 +538,6 @@ func (c *context) callDeclared(f *xq.FuncDecl, args []xdm.Sequence) (xdm.Sequenc
 		return nil, fmt.Errorf("eval: %s result: %w", f.Name, err)
 	}
 	return res, nil
-}
-
-// callDeclaredSeq is callDeclared with a lazy body: parameters are bound and
-// type-checked up front, then the body streams. Shipped XRPC functions
-// declare `item()*` results, so the common server path streams unchecked;
-// constrained occurrences (exactly-one, optional, plus) materialize because
-// they cannot be verified item by item.
-func (c *context) callDeclaredSeq(f *xq.FuncDecl, args []xdm.Sequence) (xdm.Seq, error) {
-	nc := &context{eng: c.eng, funcs: c.funcs, static: c.static, stop: c.stop}
-	for i, p := range f.Params {
-		if err := checkSeqType(args[i], p.Type); err != nil {
-			return nil, fmt.Errorf("eval: %s($%s): %w", f.Name, p.Name, err)
-		}
-		nc = nc.bind(p.Name, args[i])
-	}
-	if f.Return.Occur != xq.OccurStar {
-		return func(yield func(xdm.Item) bool) error {
-			res, err := nc.eval(f.Body)
-			if err != nil {
-				return err
-			}
-			if err := checkSeqType(res, f.Return); err != nil {
-				return fmt.Errorf("eval: %s result: %w", f.Name, err)
-			}
-			for _, it := range res {
-				if !yield(it) {
-					return nil
-				}
-			}
-			return nil
-		}, nil
-	}
-	body := nc.evalSeq(f.Body)
-	if f.Return.Item == "item()" || f.Return.Item == "" {
-		return body, nil
-	}
-	return func(yield func(xdm.Item) bool) error {
-		var typeErr error
-		err := body(func(it xdm.Item) bool {
-			if !itemMatches(it, f.Return.Item) {
-				typeErr = fmt.Errorf("eval: %s result: item %v does not match type %s", f.Name, it, f.Return.Item)
-				return false
-			}
-			return yield(it)
-		})
-		if err != nil {
-			return err
-		}
-		return typeErr
-	}, nil
 }
 
 // checkSeqType enforces occurrence and a light item-type check.

@@ -12,19 +12,14 @@ import (
 	"distxq/internal/xq"
 )
 
-// evalEager runs a query through the eager evaluator only, bypassing the
-// lazy paths that Engine.Query now routes through — the reference for the
-// lazy-vs-eager equivalence checks.
+// evalEager runs a query on the eager tree-walk oracle (TreeWalk) — the
+// reference for the lazy-vs-eager equivalence checks.
 func evalEager(e *Engine, src string) (xdm.Sequence, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := xq.Normalize(q); err != nil {
-		return nil, err
-	}
-	ctx := e.newContext(q.Funcs)
-	return ctx.eval(q.Body)
+	return TreeWalk(e, q)
 }
 
 // evalLazy pulls the same query through QuerySeq item by item.
@@ -211,6 +206,44 @@ func TestQuerySeqForLoopStreams(t *testing.T) {
 	}
 	if _, err := e.Query(q); err == nil {
 		t.Fatal("draining all iterations should fail on the third")
+	}
+}
+
+// TestQuerySeqForInputStreams: a loop's input is pulled only as far as the
+// consumer reads, so a fault past the read prefix never surfaces, while a
+// full read reports it ahead of the body fault that came first in stream
+// order, as the eager form does.
+func TestQuerySeqForInputStreams(t *testing.T) {
+	e := NewEngine(mapResolver{})
+	q, err := xq.ParseQuery(`for $x in (1, 2, 3, 4, 5, 6, 0, .) return 6 idiv $x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.QuerySeq(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got xdm.Sequence
+	if err := s(func(it xdm.Item) bool {
+		got = append(got, it)
+		return len(got) < 6
+	}); err != nil {
+		t.Fatalf("the first six iterations should stream cleanly: %v", err)
+	}
+	if serialize(got) != "6 3 2 1 1 1" {
+		t.Fatalf("got %q, want \"6 3 2 1 1 1\"", serialize(got))
+	}
+	s, err = e.QuerySeq(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lazyErr := s.Materialize()
+	_, eagerErr := TreeWalk(e, q)
+	if lazyErr == nil || eagerErr == nil || lazyErr.Error() != eagerErr.Error() {
+		t.Fatalf("full read: lazy fault %v, eager fault %v; want the same input fault", lazyErr, eagerErr)
+	}
+	if strings.Contains(lazyErr.Error(), "division") {
+		t.Fatalf("the body fault won over the input fault: %v", lazyErr)
 	}
 }
 

@@ -24,7 +24,6 @@ func TestStreamScatterReassemblesLoopOrder(t *testing.T) {
 		if st.ScatterWaves != 1 {
 			t.Errorf("split %d: stats = %+v, want one scatter wave", split, st)
 		}
-		e.ResetDocCache()
 	}
 }
 

@@ -293,15 +293,14 @@ func TestOverloadFastRejectHTTP(t *testing.T) {
 // TestKillAnyPeerEquivalenceWithAdaptiveHedging is the robustness
 // invariant under the new dispatch features: with adaptive hedging and
 // replica spreading enabled, killing any single primary must leave the
-// query's serialized result byte-identical to the healthy run.
+// query's serialized result byte-identical to the healthy run. Two rounds,
+// each on a fresh federation.
 func TestKillAnyPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
+	for round := 0; round < 2; round++ {
 		f := newFederation(t, 3)
-		f.net.SetCompile(compiled)
 		svc := service.New(f.net, f.origin, core.ByFragment, service.Config{
 			MaxConcurrent: 4,
 			DefaultBudget: core.Budget{Wall: 5 * time.Second},
-			Compile:       compiled,
 		})
 		svc.UseRetry(&xrpc.RetryPolicy{SpreadReplicas: true, HedgeAfter: 10 * time.Millisecond})
 		svc.Replicas = f.replicas
@@ -323,10 +322,10 @@ func TestKillAnyPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
 			got, _, err := svc.Query(f.query, core.Budget{})
 			f.net.RevivePeer(victim)
 			if err != nil {
-				t.Fatalf("compiled=%v kill %s: %v", compiled, victim, err)
+				t.Fatalf("round %d kill %s: %v", round, victim, err)
 			}
 			if g := serialize(got); g != want {
-				t.Errorf("compiled=%v kill %s: result diverged\n got %q\nwant %q", compiled, victim, g, want)
+				t.Errorf("round %d kill %s: result diverged\n got %q\nwant %q", round, victim, g, want)
 			}
 		}
 	}
@@ -334,15 +333,13 @@ func TestKillAnyPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
 
 // TestSlowPeerEquivalenceWithAdaptiveHedging: a straggling primary must
 // change latency, never results — the hedge (or spread) answers through
-// the replica with identical bytes.
+// the replica with identical bytes. Two rounds, each on a fresh federation.
 func TestSlowPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
+	for round := 0; round < 2; round++ {
 		f := newFederation(t, 3)
-		f.net.SetCompile(compiled)
 		svc := service.New(f.net, f.origin, core.ByFragment, service.Config{
 			MaxConcurrent: 4,
 			DefaultBudget: core.Budget{Wall: 5 * time.Second},
-			Compile:       compiled,
 		})
 		svc.UseRetry(&xrpc.RetryPolicy{SpreadReplicas: true, HedgeAfter: 5 * time.Millisecond})
 		svc.Replicas = f.replicas
@@ -359,7 +356,7 @@ func TestSlowPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
 				t.Fatal(err)
 			}
 			if g := serialize(got); g != want {
-				t.Fatalf("compiled=%v slow peer run %d diverged\n got %q\nwant %q", compiled, i, g, want)
+				t.Fatalf("round %d slow peer run %d diverged\n got %q\nwant %q", round, i, g, want)
 			}
 		}
 		restore()

@@ -3,12 +3,12 @@ package peer
 // churn_equiv_test.go is the randomized churn-equivalence harness for the
 // elastic topology: seeded schedules of kill/revive/reshard/replica-delta
 // operations interleave with generated queries on a live-topology session,
-// and every query must serialize byte-identically to static local execution
-// over the unsharded reference document — across every epoch transition, for
-// 2/4/8-shard layouts, gather-whole and streamed dispatch, tree-walking and
-// compiled execution. Correctness of the scatter rewrite under a frozen map
-// is proven by the core equivalence harness; this one proves the topology
-// can move underneath the session without the answers moving with it.
+// and every query must serialize byte-identically to static local
+// tree-walk evaluation over the unsharded reference document — across every
+// epoch transition, for 2/4/8-shard layouts, gather-whole and streamed
+// dispatch. Correctness of the scatter rewrite under a frozen map is proven
+// by the core equivalence harness; this one proves the topology can move
+// underneath the session without the answers moving with it.
 
 import (
 	"fmt"
@@ -20,6 +20,7 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
+	"distxq/internal/xq"
 	"distxq/internal/xrpc"
 )
 
@@ -97,6 +98,17 @@ func newChurnWorld(t *testing.T, shards int) *churnWorld {
 		return ref, nil
 	}))
 	return w
+}
+
+// reference evaluates src over the unsharded document on the tree-walk
+// oracle, keeping the expected results independent of the compiler that
+// runs the churned side.
+func (w *churnWorld) reference(src string) (xdm.Sequence, error) {
+	q, err := xq.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	return eval.TreeWalk(w.refEng, q)
 }
 
 // reset revives every host and installs the canonical starting layout
@@ -288,14 +300,14 @@ func churnQuery(rng *rand.Rand) string {
 // generated queries while topology operations land between them, at least
 // one of them an epoch transition; every result must match the static local
 // reference byte for byte.
-func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, compiled bool) {
+func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int) {
 	w.t.Helper()
 	w.reset()
 	startEpoch := w.n.TopologyEpoch()
 	streamed := schedule%2 == 1
 	pol := &xrpc.RetryPolicy{RouteLive: rng.Intn(2) == 0}
 	sess := w.n.NewSession(w.local, core.ByFragment).
-		UseLiveShards().UseRetry(pol).UseCompile(compiled)
+		UseLiveShards().UseRetry(pol)
 	if pol.RouteLive {
 		sess.UseHealth(xrpc.NewHealthTracker())
 	}
@@ -311,18 +323,18 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, compiled bool) {
 			}
 		}
 		src := churnQuery(rng)
-		localRes, err := w.refEng.QueryString(src)
+		localRes, err := w.reference(src)
 		if err != nil {
 			w.t.Fatalf("schedule %d query %d local eval: %v\n%s", schedule, qi, err, src)
 		}
 		res, _, err := sess.Query(src)
 		if err != nil {
-			w.t.Fatalf("schedule %d (shards=%d compiled=%v streamed=%v routeLive=%v) query %d: %v\n%s\ntopo: %+v\ndead: %v",
-				schedule, w.shards, compiled, streamed, pol.RouteLive, qi, err, src, w.topo(), w.dead)
+			w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d: %v\n%s\ntopo: %+v\ndead: %v",
+				schedule, w.shards, streamed, pol.RouteLive, qi, err, src, w.topo(), w.dead)
 		}
 		if got, want := serializeSeq(w.t, res), serializeSeq(w.t, localRes); got != want {
-			w.t.Fatalf("schedule %d (shards=%d compiled=%v streamed=%v routeLive=%v) query %d diverged\nquery: %s\nlocal: %q\nchurn: %q\ntopo: %+v\ndead: %v",
-				schedule, w.shards, compiled, streamed, pol.RouteLive, qi, src, want, got, w.topo(), w.dead)
+			w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d diverged\nquery: %s\nlocal: %q\nchurn: %q\ntopo: %+v\ndead: %v",
+				schedule, w.shards, streamed, pol.RouteLive, qi, src, want, got, w.topo(), w.dead)
 		}
 	}
 	if w.moves == 0 || w.n.TopologyEpoch() <= startEpoch {
@@ -331,26 +343,20 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, compiled bool) {
 }
 
 // TestChurnEquivalence is the headline harness: 35 seeded schedules per
-// layout and execution mode (210 total) on 2/4/8-shard federations, each
+// layout and seed family (210 total) on 2/4/8-shard federations, each
 // schedule with at least one epoch transition mid-session, alternating
-// gather-whole/streamed dispatch per schedule and covering tree-walking and
-// compiled execution as separate worlds (the compile switch is per-engine
-// state, fixed before any traffic), every query byte-identical to static
-// local evaluation.
+// gather-whole/streamed dispatch per schedule, every query byte-identical to
+// static local evaluation. Each seed family runs in its own world.
 func TestChurnEquivalence(t *testing.T) {
 	const schedules = 35
 	for _, shards := range []int{2, 4, 8} {
-		for _, compiled := range []bool{false, true} {
-			shards, compiled := shards, compiled
-			t.Run(fmt.Sprintf("%dshards/compiled=%v", shards, compiled), func(t *testing.T) {
+		for _, family := range []int64{0, 500} {
+			shards, family := shards, family
+			t.Run(fmt.Sprintf("%dshards/seeds=%d", shards, 1000*int64(shards)+family), func(t *testing.T) {
 				w := newChurnWorld(t, shards)
-				w.n.SetCompile(compiled)
-				base := int64(1000 * shards)
-				if compiled {
-					base += 500
-				}
+				base := 1000*int64(shards) + family
 				for s := 0; s < schedules; s++ {
-					w.runSchedule(rand.New(rand.NewSource(base+int64(s))), s, compiled)
+					w.runSchedule(rand.New(rand.NewSource(base+int64(s))), s)
 				}
 			})
 		}

@@ -45,12 +45,11 @@ func replicatedFederation(t *testing.T, peers int) (*Network, *Peer, []string, c
 // the in-memory transport: with every shard replicated x2, killing any
 // single primary yields byte-identical results to the healthy run — for the
 // hand-written scatter query and the planner-generated logical plan, in
-// gather-whole and streamed dispatch, tree-walking and compiled.
+// gather-whole and streamed dispatch, in two rounds on fresh federations.
 func TestKillAnyPeerInMemory(t *testing.T) {
 	for _, peers := range []int{2, 4} {
-		for _, compiled := range []bool{false, true} {
+		for round := 0; round < 2; round++ {
 			n, local, names, m := replicatedFederation(t, peers)
-			n.SetCompile(compiled)
 			handQuery := xmark.ScatterQuery(names)
 
 			type mode struct {
@@ -59,18 +58,18 @@ func TestKillAnyPeerInMemory(t *testing.T) {
 			}
 			modes := []mode{
 				{"hand-gather", func() (xdm.Sequence, *Report, error) {
-					sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
+					sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
 					sess.Replicas = m.ReplicaSets()
 					return sess.Query(handQuery)
 				}},
 				{"hand-streamed", func() (xdm.Sequence, *Report, error) {
-					sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
+					sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
 					sess.Replicas = m.ReplicaSets()
 					sess.Streamed = true
 					return sess.Query(handQuery)
 				}},
 				{"planner-gather", func() (xdm.Sequence, *Report, error) {
-					sess := n.NewSession(local, core.ByFragment).UseShards(m).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
+					sess := n.NewSession(local, core.ByFragment).UseShards(m).UseRetry(&xrpc.RetryPolicy{})
 					return sess.Query(xmark.LogicalScatterQuery())
 				}},
 			}
@@ -165,7 +164,7 @@ func (s *slowPeerTransport) RoundTripStream(ctx context.Context, peer string, re
 
 // TestSlowPeerHedged: a straggling primary is hedged to its replica and the
 // query answers byte-identically, fast, with the hedge on the report — in
-// tree-walking and compiled execution alike.
+// two rounds.
 func TestSlowPeerHedged(t *testing.T) {
 	n, local, names, m := replicatedFederation(t, 2)
 	handQuery := xmark.ScatterQuery(names)
@@ -181,11 +180,10 @@ func TestSlowPeerHedged(t *testing.T) {
 	n.RouteExternal(names[0], &slowPeerTransport{
 		inner: n.Transport, delay: map[string]time.Duration{names[0]: 5 * time.Second}})
 
-	for _, compiled := range []bool{false, true} {
-		n.SetCompile(compiled)
+	for round := 0; round < 2; round++ {
 		for _, streamed := range []bool{false, true} {
 			sess := n.NewSession(local, core.ByFragment).UseRetry(
-				&xrpc.RetryPolicy{MaxAttempts: 2, HedgeAfter: 10 * time.Millisecond}).UseCompile(compiled)
+				&xrpc.RetryPolicy{MaxAttempts: 2, HedgeAfter: 10 * time.Millisecond})
 			sess.Replicas = m.ReplicaSets()
 			sess.Streamed = streamed
 			t0 := time.Now()
@@ -287,21 +285,20 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 	want := serializeSeq(t, res)
 
 	n.KillPeer("peer1")
-	for _, compiled := range []bool{false, true} {
-		n.SetCompile(compiled)
+	for round := 0; round < 2; round++ {
 		for _, streamed := range []bool{false, true} {
 			sess := n.NewSession(local, core.ByFragment).
-				UseShards(mA, mB).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
+				UseShards(mA, mB).UseRetry(&xrpc.RetryPolicy{})
 			sess.Streamed = streamed
 			res, rep, err := sess.Query(query)
 			if err != nil {
-				t.Fatalf("compiled=%v streamed=%v, peer1 killed: %v", compiled, streamed, err)
+				t.Fatalf("round %d streamed=%v, peer1 killed: %v", round, streamed, err)
 			}
 			if got := serializeSeq(t, res); got != want {
-				t.Fatalf("compiled=%v streamed=%v: result diverged from healthy run", compiled, streamed)
+				t.Fatalf("round %d streamed=%v: result diverged from healthy run", round, streamed)
 			}
 			if rep.Retries < 2 {
-				t.Errorf("compiled=%v streamed=%v: %d retries recorded, want one per document", compiled, streamed, rep.Retries)
+				t.Errorf("round %d streamed=%v: %d retries recorded, want one per document", round, streamed, rep.Retries)
 			}
 		}
 	}
@@ -321,7 +318,7 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 // whose originator is the only in-process peer. It returns the network, the
 // originator, the primary names, the shard map, and a kill function that
 // tears down one daemon's listener (a real dead host, not a simulated one).
-func httpShardFederation(t *testing.T, peers int, compiled bool) (*Network, *Peer, []string, core.ShardMap, func(name string)) {
+func httpShardFederation(t *testing.T, peers int) (*Network, *Peer, []string, core.ShardMap, func(name string)) {
 	t.Helper()
 	cfg := xmark.ForSize(1 << 17)
 	n := NewNetwork()
@@ -337,7 +334,6 @@ func httpShardFederation(t *testing.T, peers int, compiled bool) (*Network, *Pee
 			}
 			return nil, fmt.Errorf("no such document %q", uri)
 		}))
-		engine.Options.Compile = compiled
 		srv := &xrpc.Server{Engine: engine, ChunkItems: 8}
 		mux := http.NewServeMux()
 		mux.Handle("/xrpc", xrpc.NewHTTPHandler(srv))
@@ -364,36 +360,36 @@ func httpShardFederation(t *testing.T, peers int, compiled bool) (*Network, *Pee
 
 // TestKillPeerOverHTTP: the acceptance property over real HTTP transports —
 // a killed daemon (closed listener) fails over to its replica daemon with
-// byte-identical results, gather-whole and streamed, with the daemons
-// tree-walking and compiled.
+// byte-identical results, gather-whole and streamed, in two rounds on fresh
+// daemons.
 func TestKillPeerOverHTTP(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
+	for round := 0; round < 2; round++ {
 		for _, streamed := range []bool{false, true} {
-			n, local, names, m, kill := httpShardFederation(t, 2, compiled)
+			n, local, names, m, kill := httpShardFederation(t, 2)
 			run := func() (xdm.Sequence, *Report, error) {
-				sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
+				sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
 				sess.Replicas = m.ReplicaSets()
 				sess.Streamed = streamed
 				return sess.Query(xmark.ScatterQuery(names))
 			}
 			res, _, err := run()
 			if err != nil {
-				t.Fatalf("compiled=%v streamed=%v healthy: %v", compiled, streamed, err)
+				t.Fatalf("round %d streamed=%v healthy: %v", round, streamed, err)
 			}
 			want := serializeSeq(t, res)
 			kill(names[1])
 			res, rep, err := run()
 			if err != nil {
-				t.Fatalf("compiled=%v streamed=%v, %s killed: %v", compiled, streamed, names[1], err)
+				t.Fatalf("round %d streamed=%v, %s killed: %v", round, streamed, names[1], err)
 			}
 			if got := serializeSeq(t, res); got != want {
-				t.Fatalf("compiled=%v streamed=%v: result diverged after killing %s", compiled, streamed, names[1])
+				t.Fatalf("round %d streamed=%v: result diverged after killing %s", round, streamed, names[1])
 			}
 			if rep.Retries < 1 {
-				t.Errorf("compiled=%v streamed=%v: report records no retry: %+v", compiled, streamed, rep)
+				t.Errorf("round %d streamed=%v: report records no retry: %+v", round, streamed, rep)
 			}
 			if w := rep.WinnerReplica[names[1]]; w != "rep2" {
-				t.Errorf("compiled=%v streamed=%v: WinnerReplica[%s] = %q, want rep2", compiled, streamed, names[1], w)
+				t.Errorf("round %d streamed=%v: WinnerReplica[%s] = %q, want rep2", round, streamed, names[1], w)
 			}
 		}
 	}

@@ -19,17 +19,11 @@ import (
 )
 
 func TestLiveReshardRaceHammer(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		compiled := compiled
-		t.Run(fmt.Sprintf("compiled=%v", compiled), func(t *testing.T) {
-			// The compile switch is per-engine state: it must be set before any
-			// traffic and never toggled while attempts may still be in flight
-			// (a cancelled loser over the in-memory transport runs to
-			// completion past the end of its query). Each subtest gets its own
-			// world, configured once.
+	for round := 0; round < 2; round++ {
+		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
+			// Each round hammers its own world.
 			w := newChurnWorld(t, 4)
 			w.reset()
-			w.n.SetCompile(compiled)
 
 			queries := []string{
 				churnQueryPrefix + `/child::name`,
@@ -54,7 +48,7 @@ func TestLiveReshardRaceHammer(t *testing.T) {
 					defer wg.Done()
 					pol := &xrpc.RetryPolicy{RouteLive: g%2 == 0}
 					sess := w.n.NewSession(w.local, core.ByFragment).
-						UseLiveShards().UseRetry(pol).UseCompile(compiled)
+						UseLiveShards().UseRetry(pol)
 					if pol.RouteLive {
 						sess.UseHealth(xrpc.NewHealthTracker())
 					}

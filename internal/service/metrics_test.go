@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,36 @@ func TestMetricsTextSurface(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics page is missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestAggregateMetricsRetainNoWaves: the service's transport aggregate
+// lives as long as the daemon, so it must keep a wave count, not every
+// query's lane structure — and distxq_xrpc_waves_total must still equal the
+// waves the queries dispatched.
+func TestAggregateMetricsRetainNoWaves(t *testing.T) {
+	svc, _, query := newTestService(t, Config{})
+	const queries = 5
+	var dispatched int64
+	for i := 0; i < queries; i++ {
+		_, rep, err := svc.Query(query, core.Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dispatched += rep.Waves
+	}
+	if dispatched < queries {
+		t.Fatalf("%d queries dispatched only %d waves", queries, dispatched)
+	}
+	m := svc.XRPCMetrics()
+	if len(m.Waves) != 0 {
+		t.Errorf("aggregate retained %d per-wave slices, want none", len(m.Waves))
+	}
+	if m.WaveCount != dispatched {
+		t.Errorf("aggregate wave count = %d, want %d", m.WaveCount, dispatched)
+	}
+	if want := fmt.Sprintf("distxq_xrpc_waves_total %d\n", dispatched); !strings.Contains(svc.MetricsText(), want) {
+		t.Errorf("metrics page is missing %q", want)
 	}
 }
 

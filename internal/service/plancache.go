@@ -1,21 +1,18 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 
 	"distxq/internal/core"
-	"distxq/internal/eval"
 )
 
-// cachedPlan is one plan-cache entry: the decomposed plan plus, under
-// compiled execution, its compiled artifact. Both are immutable after
-// publication; the key's shard-map epoch guarantees a Program can never be
-// executed against shard maps it was not planned under.
+// cachedPlan is one plan-cache entry: the decomposed plan, whose query
+// carries its compiled Program (see xq.Query.CompiledArtifact). Both are
+// immutable after publication; the key's shard-map epoch guarantees a
+// Program can never be executed against shard maps it was not planned under.
 type cachedPlan struct {
 	plan *core.Plan
-	// prog is the closure-chain lowering of plan.Query, compiled eagerly at
-	// plan time when the service runs compiled; nil otherwise.
-	prog *eval.Program
 	// epoch is the shard-map epoch the plan was decomposed under (also
 	// embedded in the key). Inserting an entry of a newer epoch evicts every
 	// entry below it: superseded-epoch plans can never match again, so they
@@ -32,20 +29,57 @@ type planCache struct {
 	max     int
 	entries map[string]cachedPlan
 	order   []string
+	// building holds the in-flight build of each missing key, so concurrent
+	// misses on one query wait for a single decomposition and compilation
+	// instead of each doing the work.
+	building map[string]*planBuild
+}
+
+// planBuild is one in-flight plan build; done closes once entry and err are
+// set.
+type planBuild struct {
+	done  chan struct{}
+	entry cachedPlan
+	err   error
 }
 
 func newPlanCache(max int) *planCache {
 	if max <= 0 {
 		max = DefaultPlanCacheSize
 	}
-	return &planCache{max: max, entries: map[string]cachedPlan{}}
+	return &planCache{max: max, entries: map[string]cachedPlan{}, building: map[string]*planBuild{}}
 }
 
-func (c *planCache) get(key string) (cachedPlan, bool) {
+// getOrBuild returns the cached plan of key, or builds, publishes and
+// returns it. Concurrent callers missing the same key share one build: they
+// wait for it and, like cache hits, report built=false. Failed builds are
+// not cached.
+func (c *planCache) getOrBuild(key string, build func() (cachedPlan, error)) (p cachedPlan, built bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.entries[key]
-	return p, ok
+	if p, ok := c.entries[key]; ok {
+		c.mu.Unlock()
+		return p, false, nil
+	}
+	if b, ok := c.building[key]; ok {
+		c.mu.Unlock()
+		<-b.done
+		return b.entry, false, b.err
+	}
+	b := &planBuild{done: make(chan struct{})}
+	c.building[key] = b
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.building, key)
+		c.mu.Unlock()
+		close(b.done)
+	}()
+	b.err = fmt.Errorf("service: planning %q did not complete", key)
+	b.entry, b.err = build()
+	if b.err == nil {
+		c.put(key, b.entry)
+	}
+	return b.entry, true, b.err
 }
 
 func (c *planCache) put(key string, p cachedPlan) {

@@ -50,12 +50,6 @@ type Config struct {
 	DefaultBudget core.Budget
 	// Streamed selects the streaming XRPC wire for remote calls.
 	Streamed bool
-	// Compile lowers cached plans to the compiled closure-chain executor:
-	// each plan compiles once, at plan time, and every execution of the
-	// cached plan (across concurrent queries) runs the compiled artifact.
-	// The cache key's shard-map epoch invalidates compiled plans together
-	// with the plans themselves.
-	Compile bool
 	// PlanCacheSize bounds the decomposed-plan cache; zero means
 	// DefaultPlanCacheSize.
 	PlanCacheSize int
@@ -264,41 +258,39 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		shards, epoch = s.net.ShardTopology()
 	}
 	key := fmt.Sprintf("%d|%d|%s", epoch, s.strategy, xq.PrintQuery(q))
-	if p, ok := s.plans.get(key); ok {
-		s.planHits.Add(1)
-		sp.Set(trace.Str("cache", "hit"))
-		return p.plan, shards, nil
-	}
-	s.planMisses.Add(1)
-	sp.Set(trace.Str("cache", "miss"))
-	opts := core.DefaultOptions()
-	opts.Shards = shards
-	if len(shards) > 0 {
-		opts.KnownPeers = s.net.PeerNames()
-	}
-	plan, err := core.Decompose(q, s.strategy, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := xq.Normalize(plan.Query); err != nil {
-		return nil, nil, err
-	}
-	entry := cachedPlan{plan: plan, epoch: epoch}
-	if s.cfg.Compile {
+	entry, built, err := s.plans.getOrBuild(key, func() (cachedPlan, error) {
+		opts := core.DefaultOptions()
+		opts.Shards = shards
+		if len(shards) > 0 {
+			opts.KnownPeers = s.net.PeerNames()
+		}
+		plan, err := core.Decompose(q, s.strategy, opts)
+		if err != nil {
+			return cachedPlan{}, err
+		}
+		if err := xq.Normalize(plan.Query); err != nil {
+			return cachedPlan{}, err
+		}
 		// Compile before publication: the artifact pins to the plan's query
 		// object, so every execution of this cache entry — including
 		// concurrent ones — shares one lowering, and a new epoch's plan gets
 		// a fresh compilation against the new shard maps.
 		csp := sp.Child("compile")
-		prog, err := eval.CompileQuery(plan.Query)
+		_, err = eval.CompileQuery(plan.Query)
 		csp.EndErr(err)
-		if err != nil {
-			return nil, nil, err
-		}
-		entry.prog = prog
+		return cachedPlan{plan: plan, epoch: epoch}, err
+	})
+	if built {
+		s.planMisses.Add(1)
+		sp.Set(trace.Str("cache", "miss"))
+	} else {
+		s.planHits.Add(1)
+		sp.Set(trace.Str("cache", "hit"))
 	}
-	s.plans.put(key, entry)
-	return plan, shards, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	return entry.plan, shards, nil
 }
 
 // Query admits, plans and executes one query under a wall-time budget (the
@@ -346,7 +338,6 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 		UseBudget(budget).
 		UseRetry(s.retry).
 		UseHealth(s.Health).
-		UseCompile(s.cfg.Compile).
 		UseTrace(root)
 	sess.Streamed = s.cfg.Streamed
 	sess.Shards = shards

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"distxq/internal/core"
+	"distxq/internal/eval"
 	"distxq/internal/peer"
 	"distxq/internal/xdm"
 	"distxq/internal/xrpc"
@@ -146,6 +147,63 @@ func TestServiceDefaultBudgetApplied(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSharesConcurrentBuilds: misses on a key whose build is in
+// flight wait for that build and receive its plan, so a burst of identical
+// queries decomposes and compiles once.
+func TestPlanCacheSharesConcurrentBuilds(t *testing.T) {
+	c := newPlanCache(4)
+	release := make(chan struct{})
+	builds := 0
+	plan := &core.Plan{}
+	build := func() (cachedPlan, error) {
+		builds++
+		<-release
+		return cachedPlan{plan: plan}, nil
+	}
+	const callers = 8
+	type result struct {
+		p     *core.Plan
+		built bool
+	}
+	results := make(chan result, callers)
+	call := func() {
+		p, built, err := c.getOrBuild("q", build)
+		if err != nil {
+			t.Error(err)
+		}
+		results <- result{p.plan, built}
+	}
+	// The first caller starts the build; the rest arrive while it is in
+	// flight or after it is published, and neither may build again.
+	go call()
+	for {
+		c.mu.Lock()
+		inFlight := c.building["q"] != nil
+		c.mu.Unlock()
+		if inFlight {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i < callers; i++ {
+		go call()
+	}
+	close(release)
+	builders := 0
+	for i := 0; i < callers; i++ {
+		r := <-results
+		if r.p != plan {
+			t.Fatal("a caller received a different plan")
+		}
+		if r.built {
+			builders++
+		}
+	}
+	if builds != 1 || builders != 1 {
+		t.Fatalf("builds=%d builders=%d, want one build by one caller", builds, builders)
+	}
+}
+
 // TestPlanCacheEviction: the bounded cache evicts in insertion order.
 func TestPlanCacheEviction(t *testing.T) {
 	c := newPlanCache(2)
@@ -155,11 +213,17 @@ func TestPlanCacheEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len=%d, want 2", c.Len())
 	}
-	if _, ok := c.get("a"); ok {
+	cached := func(key string) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.entries[key]
+		return ok
+	}
+	if cached("a") {
 		t.Error("oldest entry a survived eviction")
 	}
 	for _, k := range []string{"b", "c"} {
-		if _, ok := c.get(k); !ok {
+		if !cached(k) {
 			t.Errorf("entry %s missing", k)
 		}
 	}
@@ -185,7 +249,7 @@ func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
 		}
 	}
 	origin := n.AddPeer("local")
-	s := New(n, origin, core.ByFragment, Config{Compile: true})
+	s := New(n, origin, core.ByFragment, Config{})
 	shardMap := func(peers ...string) core.ShardMap {
 		return core.ShardMap{
 			Logical:    "shard://test/d",
@@ -248,8 +312,8 @@ func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
 	// bounded cache.
 	s.plans.mu.Lock()
 	for _, e := range s.plans.entries {
-		if e.prog == nil {
-			t.Error("cached plan without compiled artifact under Config.Compile")
+		if _, ok := e.plan.Query.CompiledArtifact().(*eval.Program); !ok {
+			t.Error("cached plan published without its compiled artifact")
 		}
 		if e.epoch != 2 {
 			t.Errorf("cached entry of epoch %d survived epoch 2", e.epoch)
@@ -285,7 +349,7 @@ func TestLiveEpochRePlanAndReroute(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := New(n, origin, core.ByFragment, Config{Compile: true}).UseLiveShards()
+	s := New(n, origin, core.ByFragment, Config{}).UseLiveShards()
 	query := `for $x in doc("shard://test/d")/child::r/child::v return $x`
 	values := func(res xdm.Sequence) string {
 		out := ""

@@ -68,18 +68,27 @@ type Metrics struct {
 	// together. A sequential call appends a single-lane wave; a scatter
 	// dispatch appends one wave with a lane per destination peer.
 	Waves [][]Lane
+	// WaveCount counts the dispatch waves recorded: AddWave increments it
+	// with every wave it appends, and Add folds it in without the waves
+	// themselves, so an aggregate across queries keeps the count in O(1)
+	// space instead of every query's lane structure.
+	WaveCount int64
 }
 
-// Add accumulates another metrics snapshot. The source is snapshotted under
-// its own lock first — most callers pass fresh locals, but nothing stops a
-// shared accumulator from being added into another while it is still being
-// written (the session-aggregate path does exactly that), and reading its
-// fields bare would tear under the race detector.
+// Add accumulates another metrics snapshot: its counters, peak and wave
+// count — not its Waves, which describe one query's dispatch and would grow
+// a long-lived aggregate without bound. The source is read under its own
+// lock — most callers pass fresh locals, but nothing stops a shared
+// accumulator from being added into another while it is still being written
+// (the session-aggregate path does exactly that), and reading its fields
+// bare would tear under the race detector.
 func (m *Metrics) Add(o *Metrics) {
 	if m == nil || o == nil || m == o {
 		return
 	}
-	snap := o.Snapshot()
+	o.mu.Lock()
+	snap := o.totals(nil)
+	o.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Requests += snap.Requests
@@ -93,8 +102,7 @@ func (m *Metrics) Add(o *Metrics) {
 	if snap.PeakBufferedItems > m.PeakBufferedItems {
 		m.PeakBufferedItems = snap.PeakBufferedItems
 	}
-	// Snapshot already deep-copied the waves.
-	m.Waves = append(m.Waves, snap.Waves...)
+	m.WaveCount += snap.WaveCount
 }
 
 // AddWave records one dispatch wave of overlapped exchanges.
@@ -105,6 +113,7 @@ func (m *Metrics) AddWave(lanes []Lane) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Waves = append(m.Waves, append([]Lane(nil), lanes...))
+	m.WaveCount++
 }
 
 // Reset zeroes the counters. It must not replace the struct wholesale: that
@@ -122,22 +131,29 @@ func (m *Metrics) Reset() {
 	m.RoundTripWall = 0
 	m.PeakBufferedItems = 0
 	m.Waves = nil
+	m.WaveCount = 0
 }
 
-// Snapshot returns a copy for reading.
+// Snapshot returns a copy for reading, Waves deep-copied.
 func (m *Metrics) Snapshot() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	waves := make([][]Lane, 0, len(m.Waves))
+	var waves [][]Lane
 	for _, w := range m.Waves {
 		waves = append(waves, append([]Lane(nil), w...))
 	}
+	return m.totals(waves)
+}
+
+// totals copies every field but Waves, which it sets to waves; the caller
+// holds m.mu.
+func (m *Metrics) totals(waves [][]Lane) Metrics {
 	return Metrics{
 		Requests: m.Requests, BytesSent: m.BytesSent, BytesReceived: m.BytesReceived,
 		SerializeNS: m.SerializeNS, DeserializeNS: m.DeserializeNS,
 		RemoteExecNS: m.RemoteExecNS, ServerSerdeNS: m.ServerSerdeNS,
 		RoundTripWall: m.RoundTripWall, PeakBufferedItems: m.PeakBufferedItems,
-		Waves: waves,
+		Waves: waves, WaveCount: m.WaveCount,
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // context.Canceled. Gather-whole and streamed paths must behave alike.
 
 // crunchSrc is a remote evaluation that runs far past any test budget (a
-// million loop-body evaluations, ~2s of tree-walking), so the peer-side
+// million loop-body evaluations, ~2s of evaluation), so the peer-side
 // abort has to come from the propagated deadline.
 const crunchSrc = `
 declare function ten() as item()* { (1,2,3,4,5,6,7,8,9,10) };
@@ -91,23 +91,21 @@ func checkDeadlineFailure(t *testing.T, err error, start time.Time) {
 	}
 }
 
-// TestDeadlinePropagatesOverHTTPGather: gather-whole dispatch, the peer
-// tree-walking and compiled — the compiled closure chains must hit the same
-// budget checks and record the same typed abort.
+// TestDeadlinePropagatesOverHTTPGather: gather-whole dispatch — the compiled
+// closure chains must hit the budget checks and record the typed abort. Two
+// rounds, each on a fresh federation.
 func TestDeadlinePropagatesOverHTTPGather(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
+	for round := 0; round < 2; round++ {
 		tr, peerEng := deadlineFederation(t)
-		peerEng.Options.Compile = compiled
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		eng := eval.NewEngine(nil)
-		eng.Options.Compile = compiled
 		eng.Remote = httpDeadlineClient(tr, ctx)
 
 		start := time.Now()
 		res, err := eng.QueryString(crunchSrc)
 		checkDeadlineFailure(t, err, start)
 		if res != nil {
-			t.Errorf("compiled=%v: partial result %v survived a blown budget", compiled, res)
+			t.Errorf("round %d: partial result %v survived a blown budget", round, res)
 		}
 		waitForAbort(t, peerEng)
 		cancel()
@@ -116,14 +114,12 @@ func TestDeadlinePropagatesOverHTTPGather(t *testing.T) {
 
 // TestDeadlinePropagatesOverHTTPStreamed: the streamed dispatch path must
 // discard partial chunk frames and surface the same typed failure, again in
-// both execution modes.
+// two rounds on fresh federations.
 func TestDeadlinePropagatesOverHTTPStreamed(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
+	for round := 0; round < 2; round++ {
 		tr, peerEng := deadlineFederation(t)
-		peerEng.Options.Compile = compiled
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		eng := eval.NewEngine(nil)
-		eng.Options.Compile = compiled
 		cl := httpDeadlineClient(tr, ctx)
 		cl.Streamed = true
 		eng.Remote = cl
@@ -132,7 +128,7 @@ func TestDeadlinePropagatesOverHTTPStreamed(t *testing.T) {
 		res, err := eng.QueryString(crunchSrc)
 		checkDeadlineFailure(t, err, start)
 		if res != nil {
-			t.Errorf("compiled=%v: partial streamed result %v survived a blown budget", compiled, res)
+			t.Errorf("round %d: partial streamed result %v survived a blown budget", round, res)
 		}
 		waitForAbort(t, peerEng)
 		cancel()

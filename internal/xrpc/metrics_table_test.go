@@ -12,8 +12,8 @@ func lane(peer string, sent, recv, exec int64) Lane {
 }
 
 // TestMetricsWaveAccounting is the table-driven check of the dispatch-wave
-// bookkeeping: how AddWave/Add/Reset sequences shape Waves, and the widest
-// wave (the Parallelism a peer.Report derives).
+// bookkeeping: how AddWave/Add/Reset sequences shape Waves and WaveCount,
+// and the widest wave (the Parallelism a peer.Report derives).
 func TestMetricsWaveAccounting(t *testing.T) {
 	type op struct {
 		kind  string // "wave", "add", "reset"
@@ -23,6 +23,7 @@ func TestMetricsWaveAccounting(t *testing.T) {
 		name        string
 		ops         []op
 		wantWaves   [][]Lane
+		wantCount   int64
 		wantWidest  int
 		wantReqs    int64
 		wantBytes   int64 // sent+received
@@ -36,17 +37,17 @@ func TestMetricsWaveAccounting(t *testing.T) {
 		{
 			// AddWave records dispatch structure only; the byte counters
 			// accumulate separately through Add (as Client.callBulk does).
-			name:       "single sequential exchange is a one-lane wave",
-			ops:        []op{{kind: "wave", lanes: []Lane{lane("a", 10, 20, 5)}}},
-			wantWaves:  [][]Lane{{lane("a", 10, 20, 5)}},
-			wantWidest: 1, wantMaxExec: 5,
+			name:      "single sequential exchange is a one-lane wave",
+			ops:       []op{{kind: "wave", lanes: []Lane{lane("a", 10, 20, 5)}}},
+			wantWaves: [][]Lane{{lane("a", 10, 20, 5)}},
+			wantCount: 1, wantWidest: 1, wantMaxExec: 5,
 		},
 		{
 			name: "scatter wave keeps lanes together",
 			ops: []op{{kind: "wave", lanes: []Lane{
 				lane("a", 1, 2, 3), lane("b", 4, 5, 6), lane("c", 7, 8, 9)}}},
-			wantWaves:  [][]Lane{{lane("a", 1, 2, 3), lane("b", 4, 5, 6), lane("c", 7, 8, 9)}},
-			wantWidest: 3, wantMaxExec: 9,
+			wantWaves: [][]Lane{{lane("a", 1, 2, 3), lane("b", 4, 5, 6), lane("c", 7, 8, 9)}},
+			wantCount: 1, wantWidest: 3, wantMaxExec: 9,
 		},
 		{
 			name: "sequential waves stay separate",
@@ -54,8 +55,8 @@ func TestMetricsWaveAccounting(t *testing.T) {
 				{kind: "wave", lanes: []Lane{lane("a", 1, 1, 1)}},
 				{kind: "wave", lanes: []Lane{lane("b", 2, 2, 2)}},
 			},
-			wantWaves:  [][]Lane{{lane("a", 1, 1, 1)}, {lane("b", 2, 2, 2)}},
-			wantWidest: 1, wantMaxExec: 2,
+			wantWaves: [][]Lane{{lane("a", 1, 1, 1)}, {lane("b", 2, 2, 2)}},
+			wantCount: 2, wantWidest: 1, wantMaxExec: 2,
 		},
 		{
 			name:      "empty wave is dropped",
@@ -63,17 +64,16 @@ func TestMetricsWaveAccounting(t *testing.T) {
 			wantWaves: nil,
 		},
 		{
-			name: "add merges counters and appends waves",
+			// An aggregate must not retain every query's lanes: Add folds
+			// the counters and the wave count, never the waves.
+			name: "add merges counters and wave counts, not waves",
 			ops: []op{
 				{kind: "wave", lanes: []Lane{lane("a", 1, 1, 1)}},
 				{kind: "add", lanes: []Lane{lane("b", 10, 10, 7), lane("c", 20, 20, 2)}},
 			},
-			wantWaves: [][]Lane{
-				{lane("a", 1, 1, 1)},
-				{lane("b", 10, 10, 7)},
-				{lane("c", 20, 20, 2)},
-			},
-			wantWidest: 1, wantReqs: 2, wantBytes: 60, wantMaxExec: 7,
+			wantWaves:  [][]Lane{{lane("a", 1, 1, 1)}},
+			wantCount:  3,
+			wantWidest: 1, wantReqs: 2, wantBytes: 60, wantMaxExec: 1,
 		},
 		{
 			// The PR 2 regression: Reset must zero the counters in place (not
@@ -86,8 +86,8 @@ func TestMetricsWaveAccounting(t *testing.T) {
 				{kind: "add", lanes: []Lane{lane("c", 3, 4, 5)}},
 				{kind: "wave", lanes: []Lane{lane("d", 6, 7, 8), lane("e", 9, 10, 11)}},
 			},
-			wantWaves:  [][]Lane{{lane("c", 3, 4, 5)}, {lane("d", 6, 7, 8), lane("e", 9, 10, 11)}},
-			wantWidest: 2, wantReqs: 1, wantBytes: 7, wantMaxExec: 11,
+			wantWaves: [][]Lane{{lane("d", 6, 7, 8), lane("e", 9, 10, 11)}},
+			wantCount: 2, wantWidest: 2, wantReqs: 1, wantBytes: 7, wantMaxExec: 11,
 		},
 		{
 			name: "double reset is idempotent",
@@ -125,6 +125,9 @@ func TestMetricsWaveAccounting(t *testing.T) {
 			if got, want := fmt.Sprint(snap.Waves), fmt.Sprint(tc.wantWaves); got != want {
 				t.Fatalf("waves = %s, want %s", got, want)
 			}
+			if snap.WaveCount != tc.wantCount {
+				t.Fatalf("wave count = %d, want %d", snap.WaveCount, tc.wantCount)
+			}
 			widest := 0
 			maxExec := int64(0)
 			for _, w := range snap.Waves {
@@ -154,7 +157,8 @@ func TestMetricsWaveAccounting(t *testing.T) {
 }
 
 // TestMetricsSnapshotIsolation locks in that Snapshot deep-copies the wave
-// slices: mutating a snapshot must not corrupt the live metrics.
+// slices (mutating a snapshot must not corrupt the live metrics) and that
+// Add keeps no reference to the source's waves, only their count.
 func TestMetricsSnapshotIsolation(t *testing.T) {
 	m := &Metrics{}
 	m.AddWave([]Lane{lane("a", 1, 2, 3)})
@@ -168,8 +172,8 @@ func TestMetricsSnapshotIsolation(t *testing.T) {
 	dst := &Metrics{}
 	dst.Add(src)
 	src.Reset()
-	if got := dst.Snapshot().Waves[0][0].Peer; got != "b" {
-		t.Fatalf("Add aliases source wave storage: peer = %q", got)
+	if got := dst.Snapshot(); len(got.Waves) != 0 || got.WaveCount != 1 {
+		t.Fatalf("Add retained waves %v / count %d, want none / 1", got.Waves, got.WaveCount)
 	}
 }
 
