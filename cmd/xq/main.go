@@ -119,15 +119,17 @@ func main() {
 		})
 	}
 	local := net.AddPeer("local")
-	sess := net.NewSession(local, strat)
-	sess.Streamed = *streamed
 	for _, spec := range shards {
 		m, err := parseShardMap(spec)
 		if err != nil {
 			fail(err)
 		}
-		sess.UseShards(m)
+		if _, err := net.UpdateShards(m); err != nil {
+			fail(err)
+		}
 	}
+	sess := net.NewSession(local, strat)
+	sess.Streamed = *streamed
 	for _, spec := range replicaSpecs {
 		primary, rest, ok := strings.Cut(spec, "=")
 		if !ok || rest == "" {

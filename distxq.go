@@ -64,21 +64,23 @@ type Session = peer.Session
 type Report = peer.Report
 
 // ShardMap describes one logical document horizontally partitioned across
-// peers; install it on a Session (Session.UseShards) to let the planner
-// rewrite queries over the logical URI into concurrent scatter plans.
+// peers; install it on the federation (Network.UpdateShards) to let every
+// session's planner rewrite queries over the logical URI into concurrent
+// scatter plans, and change it live with Network.Reshard.
 type ShardMap = core.ShardMap
 
 // ShardDecision records one shard-rewrite outcome on a Report.
 type ShardDecision = core.ShardDecision
 
 // ErrUnknownShardPeer is returned when a shard map names a peer absent from
-// the federation.
+// the federation (Network.UpdateShards and Network.Reshard refuse to install
+// such a layout).
 var ErrUnknownShardPeer = core.ErrUnknownShardPeer
 
 // RetryPolicy configures per-lane fault tolerance of scatter dispatch:
-// failed lanes re-issue to replicas (ShardMap.Replicas or
-// Session.Replicas), straggling ones are hedged after HedgeAfter. Install
-// it with Session.UseRetry.
+// failed lanes re-issue to replicas (the Replicas of a shard map installed
+// on the network, or a session's own Replicas map), straggling ones are
+// hedged after HedgeAfter. Install it with Session.UseRetry.
 type RetryPolicy = xrpc.RetryPolicy
 
 // Sequence is an XQuery result sequence.

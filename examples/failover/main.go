@@ -60,11 +60,15 @@ func main() {
 
 	shardMap := distxq.XMarkPeopleShardMap(primaries)
 	shardMap.Replicas = replicas
+	// Installed on the federation, the map's replica sets guide every
+	// session's failover, hand-written scatter loops included.
+	if _, err := net.UpdateShards(shardMap); err != nil {
+		log.Fatal(err)
+	}
 	query := distxq.ScatterQuery(primaries)
 
 	run := func(label string) (string, *distxq.Report) {
 		sess := net.NewSession(local, distxq.ByFragment).UseRetry(&distxq.RetryPolicy{})
-		sess.Replicas = shardMap.ReplicaSets()
 		sess.Streamed = true
 		res, rep, err := sess.Query(query)
 		if err != nil {

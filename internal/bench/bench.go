@@ -68,11 +68,6 @@ type Row struct {
 	Report     *peer.Report
 }
 
-// DefaultSizes is the document-size sweep (combined bytes of both docs). The
-// paper sweeps 20–320 MB on a cluster; the default here is laptop-scale with
-// the same 2× progression; pass larger values to cmd/figures to scale up.
-var DefaultSizes = []int64{1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 21}
-
 // Fig7Bandwidth measures total transferred data per strategy and size.
 func Fig7Bandwidth(sizes []int64) ([][]Row, error) {
 	var out [][]Row
@@ -299,8 +294,18 @@ type ScatterFixture struct {
 	Query      string
 	TotalBytes int64
 	// ShardMap registers the federation as one logical document for the
-	// shard-aware planner experiment (RunLogical).
+	// shard-aware planner experiment (RunLogical); the fixture installs it
+	// on Net at construction.
 	ShardMap core.ShardMap
+}
+
+// installShardMap installs the fixture's shard map on its network. The
+// fixture built every peer and shard the map names, so a rejection is a
+// construction bug.
+func (f *ScatterFixture) installShardMap() {
+	if _, err := f.Net.UpdateShards(f.ShardMap); err != nil {
+		panic(err)
+	}
 }
 
 // NewScatterFixture shards roughly totalBytes of people data across the
@@ -319,6 +324,7 @@ func NewScatterFixture(totalBytes int64, peers int) *ScatterFixture {
 	f.Local = n.AddPeer("local")
 	f.Query = xmark.ScatterQuery(f.Peers)
 	f.ShardMap = xmark.PeopleShardMap(f.Peers)
+	f.installShardMap()
 	return f
 }
 
@@ -334,8 +340,7 @@ func (f *ScatterFixture) Run(strat core.Strategy, sequential bool) (xdm.Sequence
 // (no hand-written `execute at`); the shard-aware planner must synthesize the
 // scatter plan.
 func (f *ScatterFixture) RunLogical(strat core.Strategy) (xdm.Sequence, *peer.Report, error) {
-	sess := f.Net.NewSession(f.Local, strat).UseShards(f.ShardMap)
-	return sess.Query(xmark.LogicalScatterQuery())
+	return f.Net.NewSession(f.Local, strat).Query(xmark.LogicalScatterQuery())
 }
 
 // RunStreamed executes the scatter query with streamed dispatch: per-peer

@@ -22,8 +22,8 @@ import (
 // NewReplicatedScatterFixture is NewScatterFixture with every shard stored
 // twice: primary peer<i> plus a dedicated replica peer rep<i> holding a
 // byte-identical copy of the shard document under the same peer-local path.
-// The fixture's shard map lists the replicas, so sessions with a RetryPolicy
-// (or just the map installed) survive the loss of any single peer.
+// The fixture's shard map lists the replicas and is installed on the
+// network, so every session on it survives the loss of any single peer.
 func NewReplicatedScatterFixture(totalBytes int64, peers int) *ScatterFixture {
 	cfg := xmark.ForSize(totalBytes * 2) // people doc is half of a fixture
 	n := peer.NewNetwork()
@@ -48,6 +48,7 @@ func NewReplicatedScatterFixture(totalBytes int64, peers int) *ScatterFixture {
 	f.Query = xmark.ScatterQuery(f.Peers)
 	f.ShardMap = xmark.PeopleShardMap(f.Peers)
 	f.ShardMap.Replicas = replicas
+	f.installShardMap()
 	return f
 }
 
@@ -240,7 +241,6 @@ func FigFailover(totalBytes int64, peers int) (*FailoverRow, error) {
 	f.Net.KillPeer(killed)
 	defer f.Net.RevivePeer(killed)
 	sess := f.Net.NewSession(f.Local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
-	sess.Replicas = f.ShardMap.ReplicaSets()
 	res, rep, err := sess.Query(f.Query)
 	if err != nil {
 		return nil, fmt.Errorf("failover with %s killed: %w", killed, err)

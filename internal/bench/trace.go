@@ -65,7 +65,6 @@ func FigTrace(totalBytes int64, peers int) (*TraceRow, error) {
 	defer f.Net.RevivePeer(killed)
 	svc := service.New(f.Net, f.Local, core.ByFragment, service.Config{Trace: true}).
 		UseRetry(&xrpc.RetryPolicy{HedgeAfter: 200 * time.Microsecond})
-	svc.Replicas = f.ShardMap.ReplicaSets()
 	res, rep, err := svc.Query(f.Query, core.Budget{})
 	if err != nil {
 		return nil, fmt.Errorf("traced query with %s killed: %w", killed, err)

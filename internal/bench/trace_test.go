@@ -106,7 +106,6 @@ func TestTracedFailoverParentage(t *testing.T) {
 
 	svc := service.New(f.Net, f.Local, core.ByFragment, service.Config{Trace: true}).
 		UseRetry(&xrpc.RetryPolicy{HedgeAfter: 200 * time.Microsecond})
-	svc.Replicas = f.ShardMap.ReplicaSets()
 	if _, _, err := svc.Query(f.Query, core.Budget{}); err != nil {
 		t.Fatalf("traced query with %s killed: %v", killed, err)
 	}

@@ -47,6 +47,11 @@ type Plan struct {
 	// logical-document expressions became scatter loops and which fell back
 	// to local evaluation over the materialized union, and why.
 	Shards []ShardDecision
+	// Layout is the shard layout the plan was decomposed against
+	// (Options.Shards). Execution reads it to materialize logical documents,
+	// derive failover replica sets and detect a newer live epoch, so a cached
+	// plan keeps running, and failing over, on the epoch it was planned under.
+	Layout []ShardMap
 }
 
 // Decompose rewrites q in place into an equivalent distributed query under
@@ -61,7 +66,7 @@ func Decompose(q *xq.Query, strat Strategy, opts Options) (*Plan, error) {
 	if err := validateShards(opts); err != nil {
 		return nil, err
 	}
-	plan := &Plan{Query: q, Strategy: strat, Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}}
+	plan := &Plan{Query: q, Strategy: strat, Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Layout: opts.Shards}
 	if strat == DataShipping {
 		// No decomposition at all: logical documents materialize their union
 		// at the originator (the resolver's data-shipping model).

@@ -59,8 +59,9 @@ func (m ShardMap) ReplicaSets() map[string][]string {
 }
 
 // ErrUnknownShardPeer reports a shard map naming a peer the engine does not
-// know; Decompose fails with it instead of planning a scatter that cannot
-// dispatch.
+// know: a federation refuses to install such a layout, and Decompose, given
+// Options.KnownPeers, fails with it instead of planning a scatter that
+// cannot dispatch.
 var ErrUnknownShardPeer = errors.New("core: shard map names a peer absent from the engine's peer set")
 
 // ShardDecision records one shard-rewrite outcome: a candidate expression

@@ -32,13 +32,12 @@ var layouts = []int{2, 4, 8}
 // reference: the logical document whose record sequence concatenates the
 // shards in shard-major order.
 type shardedWorld struct {
-	peers    int
-	net      *peer.Network
-	local    *peer.Peer
-	names    []string
-	refDoc   *xdm.Document
-	refEng   *eval.Engine
-	shardMap core.ShardMap
+	peers  int
+	net    *peer.Network
+	local  *peer.Peer
+	names  []string
+	refDoc *xdm.Document
+	refEng *eval.Engine
 }
 
 func newShardedWorld(t *testing.T, cfg xmark.Config, n int) *shardedWorld {
@@ -54,7 +53,9 @@ func newShardedWorld(t *testing.T, cfg xmark.Config, n int) *shardedWorld {
 		w.names = append(w.names, name)
 	}
 	w.local = w.net.AddPeer("local")
-	w.shardMap = xmark.PeopleShardMap(w.names)
+	if _, err := w.net.UpdateShards(xmark.PeopleShardMap(w.names)); err != nil {
+		t.Fatal(err)
+	}
 	w.refDoc = buildReference(t, shards)
 	w.refEng = eval.NewEngine(eval.ResolverFunc(func(uri string) (*xdm.Document, error) {
 		if uri != xmark.LogicalPeopleURI {
@@ -274,8 +275,7 @@ func TestShardRewriteEquivalence(t *testing.T) {
 					// Gather-whole and streamed dispatch must both match the
 					// unsharded reference, which tree-walks.
 					for _, streamed := range []bool{false, true} {
-						sess := w.net.NewSession(w.local, core.ByFragment).
-							UseShards(w.shardMap)
+						sess := w.net.NewSession(w.local, core.ByFragment)
 						sess.Streamed = streamed
 						shardRes, rep, err := sess.Query(q.src)
 						if err != nil {
@@ -315,7 +315,7 @@ func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 	want := serializeSeq(localRes)
 	for _, strat := range []core.Strategy{core.DataShipping, core.ByValue, core.ByFragment, core.ByProjection} {
 		for _, streamed := range []bool{false, true} {
-			sess := w.net.NewSession(w.local, strat).UseShards(w.shardMap)
+			sess := w.net.NewSession(w.local, strat)
 			sess.Streamed = streamed
 			res, rep, err := sess.Query(xmark.LogicalScatterQuery())
 			if err != nil {

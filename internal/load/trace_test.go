@@ -1,11 +1,13 @@
 package load
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"distxq/internal/core"
 	"distxq/internal/service"
+	"distxq/internal/trace"
 	"distxq/internal/xrpc"
 )
 
@@ -38,16 +40,16 @@ func TestSustainedLoadTraced(t *testing.T) {
 	if len(d.Recent) == 0 {
 		t.Fatal("trace ring is empty after a sustained traced run")
 	}
-	// Give in-flight losers a moment to close, then re-dump and audit every
-	// held trace for leaks.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if tr := svc.Traces.Last(); tr == nil || tr.OpenSpans() == 0 {
-			break
-		}
+	// Give in-flight losers a moment to close — a hedge loser of any held
+	// trace, not only the newest, may still be ending its spans — then audit
+	// every held trace for leaks.
+	open := func(r *trace.Recorded) bool { return r.OpenSpans != 0 }
+	held := d.Recent
+	for deadline := time.Now().Add(10 * time.Second); slices.ContainsFunc(held, open) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
+		held = svc.Traces.Dump().Recent
 	}
-	for _, rec := range svc.Traces.Dump().Recent {
+	for _, rec := range held {
 		if rec.OpenSpans != 0 {
 			t.Errorf("trace %d holds %d open spans after settling", rec.ID, rec.OpenSpans)
 		}

@@ -104,35 +104,6 @@ func (m Model) SharedFinishTimes(lanes []ContendedLane) []time.Duration {
 	return done
 }
 
-// SharedGatherWave prices one scatter-gather wave whose responses contend on
-// the originator's shared link: lane i's response reaches the link after its
-// request transfer, the peer's delays[i] of server time, and the one-way
-// return latency; the bytes then drain under processor sharing. It returns
-// the per-lane completion instants and the wave makespan. A single-lane wave
-// costs exactly LaneTime — the contention model strictly generalizes the
-// independent-port one.
-func (m Model) SharedGatherWave(lanes []Exchange, delays []time.Duration) ([]time.Duration, time.Duration) {
-	cl := make([]ContendedLane, len(lanes))
-	for i, e := range lanes {
-		var d time.Duration
-		if i < len(delays) {
-			d = delays[i]
-		}
-		cl[i] = ContendedLane{
-			Ready: m.TransferTime(e.ReqBytes) + d + m.Latency,
-			Bytes: e.RespBytes,
-		}
-	}
-	done := m.SharedFinishTimes(cl)
-	var makespan time.Duration
-	for _, d := range done {
-		if d > makespan {
-			makespan = d
-		}
-	}
-	return done, makespan
-}
-
 // ContendedResponseTime is the contention cost signal for routing decisions:
 // the time for one n-byte response to cross the shared link while inflight
 // other responses occupy it for the whole transfer (the pessimistic steady

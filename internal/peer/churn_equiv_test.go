@@ -2,7 +2,7 @@ package peer
 
 // churn_equiv_test.go is the randomized churn-equivalence harness for the
 // elastic topology: seeded schedules of kill/revive/reshard/replica-delta
-// operations interleave with generated queries on a live-topology session,
+// operations interleave with generated queries on one session,
 // and every query must serialize byte-identically to static local
 // tree-walk evaluation over the unsharded reference document — across every
 // epoch transition, for 2/4/8-shard layouts, gather-whole and streamed
@@ -296,18 +296,17 @@ func churnQuery(rng *rand.Rand) string {
 	}
 }
 
-// runSchedule drives one seeded schedule: a live-topology session issues
+// runSchedule drives one seeded schedule: one session issues
 // generated queries while topology operations land between them, at least
 // one of them an epoch transition; every result must match the static local
 // reference byte for byte.
 func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int) {
 	w.t.Helper()
 	w.reset()
-	startEpoch := w.n.TopologyEpoch()
+	_, startEpoch := w.n.ShardTopology()
 	streamed := schedule%2 == 1
 	pol := &xrpc.RetryPolicy{RouteLive: rng.Intn(2) == 0}
-	sess := w.n.NewSession(w.local, core.ByFragment).
-		UseLiveShards().UseRetry(pol)
+	sess := w.n.NewSession(w.local, core.ByFragment).UseRetry(pol)
 	if pol.RouteLive {
 		sess.UseHealth(xrpc.NewHealthTracker())
 	}
@@ -337,7 +336,7 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int) {
 				schedule, w.shards, streamed, pol.RouteLive, qi, src, want, got, w.topo(), w.dead)
 		}
 	}
-	if w.moves == 0 || w.n.TopologyEpoch() <= startEpoch {
+	if _, epoch := w.n.ShardTopology(); w.moves == 0 || epoch <= startEpoch {
 		w.t.Fatalf("schedule %d applied no epoch transition", schedule)
 	}
 }

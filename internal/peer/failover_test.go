@@ -69,7 +69,10 @@ func TestKillAnyPeerInMemory(t *testing.T) {
 					return sess.Query(handQuery)
 				}},
 				{"planner-gather", func() (xdm.Sequence, *Report, error) {
-					sess := n.NewSession(local, core.ByFragment).UseShards(m).UseRetry(&xrpc.RetryPolicy{})
+					if _, err := n.UpdateShards(m); err != nil {
+						return nil, nil, err
+					}
+					sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
 					return sess.Query(xmark.LogicalScatterQuery())
 				}},
 			}
@@ -109,9 +112,12 @@ func TestKillPeerMaterializeFallback(t *testing.T) {
 	n, local, names, m := replicatedFederation(t, 2)
 	src := fmt.Sprintf(`for $x in doc(%q)/child::site/child::people/child::person
 	return if ($x/descendant::age < 40) then $x/child::name else ()`, xmark.LogicalPeopleURI)
+	if _, err := n.UpdateShards(m); err != nil {
+		t.Fatal(err)
+	}
 
 	run := func() string {
-		sess := n.NewSession(local, core.DataShipping).UseShards(m)
+		sess := n.NewSession(local, core.DataShipping)
 		res, _, err := sess.Query(src)
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +240,7 @@ func TestExhaustedReplicasSessionFault(t *testing.T) {
 // TestPerDocumentReplicaRouting: two shard maps sharing primaries but
 // disagreeing on failover sets used to be rejected wholesale ("conflicting
 // replica sets"). Routing is now keyed per (target, logical document), so the
-// session accepts both maps and a killed primary fails over to the replica
+// federation accepts both maps and a killed primary fails over to the replica
 // that holds *that document's* shard — provable here because each replica
 // stores only its own document, so routing one document's lane through the
 // other's replica would fail loudly with a missing-document fault.
@@ -269,7 +275,10 @@ func TestPerDocumentReplicaRouting(t *testing.T) {
 	query := `(for $x in doc("shard://test/a")/child::r/child::v return $x,
 for $y in doc("shard://test/b")/child::r/child::v return $y)`
 
-	healthy := n.NewSession(local, core.ByFragment).UseShards(mA, mB)
+	if _, err := n.UpdateShards(mA, mB); err != nil {
+		t.Fatal(err)
+	}
+	healthy := n.NewSession(local, core.ByFragment)
 	res, rep, err := healthy.Query(query)
 	if err != nil {
 		t.Fatalf("healthy run: %v", err)
@@ -287,8 +296,7 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 	n.KillPeer("peer1")
 	for round := 0; round < 2; round++ {
 		for _, streamed := range []bool{false, true} {
-			sess := n.NewSession(local, core.ByFragment).
-				UseShards(mA, mB).UseRetry(&xrpc.RetryPolicy{})
+			sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
 			sess.Streamed = streamed
 			res, rep, err := sess.Query(query)
 			if err != nil {
@@ -306,7 +314,7 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 	// The merged target-keyed fallback withholds the conflicted primary: a
 	// hand-written loop naming the bare peer has no provably-right failover
 	// order, so it must fail rather than guess a replica.
-	sess := n.NewSession(local, core.ByFragment).UseShards(mA, mB).UseRetry(&xrpc.RetryPolicy{})
+	sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
 	_, _, err = sess.Query(`for $p in ("peer1", "peer2") return execute at {$p} { doc("a.xml")/child::r/child::v }`)
 	if err == nil {
 		t.Fatal("hand-written loop over the conflicted primary succeeded — which document's replica did it guess?")

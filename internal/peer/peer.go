@@ -6,15 +6,20 @@
 // metrics the evaluation section reports.
 //
 // The layer's contract: a Session is the one-stop query API — it plans
-// (core.Decompose), wires the dispatch stack (xrpc client over the
-// federation's transports, streamed or gather-whole, with the session's
-// RetryPolicy and replica sets), executes, and returns the result plus a
-// Report pricing the run under the netsim cost model: bytes moved, phase
-// times, overlap-aware network time, streaming pipeline times, shard
-// decisions, and fault-tolerance provenance (retries, hedges, wasted time,
-// replica winners). Networks mix in-process peers with external HTTP
-// daemons (RouteExternal); KillPeer/RevivePeer inject the failures the
-// fault-tolerant dispatch is built to survive.
+// (core.Decompose) against the federation's current shard layout, wires the
+// dispatch stack (xrpc client over the federation's transports, streamed or
+// gather-whole, with the session's RetryPolicy and replica sets), executes,
+// and returns the result plus a Report pricing the run under the netsim cost
+// model: bytes moved, phase times, overlap-aware network time, streaming
+// pipeline times, shard decisions, and fault-tolerance provenance (retries,
+// hedges, wasted time, replica winners). Networks mix in-process peers with
+// external HTTP daemons (RouteExternal); KillPeer/RevivePeer inject the
+// failures the fault-tolerant dispatch is built to survive.
+//
+// The Network's versioned topology (UpdateShards, Reshard, ShardTopology) is
+// the only home of shard maps: every session — and every service built on
+// one — plans each query against the epoch current at plan time, and the
+// plan pins that layout (core.Plan.Layout) for its whole execution.
 package peer
 
 import (
@@ -176,14 +181,16 @@ func (n *Network) SetChunkItems(items int) {
 	}
 }
 
-// UpdateShards installs (or replaces, by logical URI) live shard maps and
-// bumps the federation topology epoch. Sessions created with UseLiveShards
-// and services in live mode plan every new query against the latest epoch,
-// while queries already executing finish on the epoch they planned under —
-// the installed maps are deep copies, so superseded epochs stay readable.
-// Every shard peer must be a federation member, and every in-process primary
-// and replica must actually host the shard document (a layout routing lanes
-// at a peer without the data would break the scatter-equivalence guarantee).
+// UpdateShards installs (or replaces, by logical URI) shard maps and bumps
+// the federation topology epoch. Every session and service plans each new
+// query against the latest epoch, while queries already executing finish on
+// the epoch they planned under — the installed maps are deep copies, so
+// superseded epochs stay readable. Every shard peer must be a federation
+// member (an error matching core.ErrUnknownShardPeer otherwise), and every
+// in-process primary and replica must actually host the shard document (a
+// layout routing lanes at a peer without the data would break the
+// scatter-equivalence guarantee). Membership only grows — KillPeer keeps a
+// member — so a layout valid at install stays valid for every later plan.
 func (n *Network) UpdateShards(maps ...core.ShardMap) (int64, error) {
 	known := n.PeerNames()
 	for _, m := range maps {
@@ -252,13 +259,6 @@ func (n *Network) ShardTopology() ([]core.ShardMap, int64) {
 	return maps, n.epoch
 }
 
-// TopologyEpoch returns the federation topology generation (see epoch).
-func (n *Network) TopologyEpoch() int64 {
-	n.topoMu.RLock()
-	defer n.topoMu.RUnlock()
-	return n.epoch
-}
-
 // checkShardHosts validates a layout against the federation: every named
 // peer is a member, and every in-process member (alive or down) hosts the
 // shard document it is routed for. Externally routed peers are trusted —
@@ -266,7 +266,7 @@ func (n *Network) TopologyEpoch() int64 {
 func (n *Network) checkShardHosts(m core.ShardMap, known map[string]bool) error {
 	hosts := func(name string, shard int) error {
 		if !known[name] {
-			return fmt.Errorf("peer: shard map %s epoch %d names unknown peer %s", m.Logical, m.Epoch, name)
+			return fmt.Errorf("peer: shard map %s epoch %d: %w: %s", m.Logical, m.Epoch, core.ErrUnknownShardPeer, name)
 		}
 		n.mu.RLock()
 		p, ok := n.peers[name]
@@ -356,9 +356,10 @@ func (n *Network) Peer(name string) (*Peer, bool) {
 }
 
 // PeerNames returns the set of registered peer names, externally routed
-// peers included — the engine peer set the decomposer validates shard maps
-// against. Killed peers remain members: a shard map naming a down primary
-// must still plan, so its lanes can fail over to replicas.
+// peers included — the federation membership UpdateShards and Reshard
+// validate layouts against. Killed peers remain members: a shard map naming
+// a down primary must still install and plan, so its lanes can fail over to
+// replicas.
 func (n *Network) PeerNames() map[string]bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -542,28 +543,16 @@ type Session struct {
 	// order, overlapping slow peers with local processing of finished
 	// lanes, instead of gathering whole responses.
 	Streamed bool
-	// Shards installs shard maps: the planner may rewrite queries over each
-	// logical document into the concurrent scatter form, and the logical URI
-	// also resolves at the originator by materializing the union of shards
-	// (the fallback path).
-	Shards []core.ShardMap
-	// LiveShards, instead of a frozen Shards list, plans each query against
-	// the network's live topology (Network.UpdateShards/Reshard): the session
-	// snapshots the current epoch at plan time, the query executes — and
-	// fails over — entirely on that snapshot, and the next query picks up
-	// whatever epoch is then current. Epoch-aware dispatch additionally
-	// re-routes a lane to the newest layout when its plan-time primary has
-	// departed mid-query.
-	LiveShards bool
 	// Retry, when non-nil, makes scatter dispatch fault-tolerant: failed
 	// lanes re-issue to replicas and straggling ones are hedged (see
-	// xrpc.RetryPolicy). Replica sets come from the installed shard maps
-	// and from Replicas; a session with replicas but no policy still fails
-	// over on faults.
+	// xrpc.RetryPolicy). Replica sets come from the network's installed
+	// shard maps and from Replicas; a session with replicas but no policy
+	// still fails over on faults.
 	Retry *xrpc.RetryPolicy
 	// Replicas maps scatter target peers to ordered failover replicas for
-	// hand-written variable-target loops; shard maps with Replicas
-	// contribute their ReplicaSets automatically.
+	// hand-written variable-target loops; installed shard maps with Replicas
+	// contribute their ReplicaSets automatically, and entries here override
+	// them.
 	Replicas map[string][]string
 	// Budget, when non-zero, bounds each query's end-to-end wall time: local
 	// evaluation aborts at the deadline, dispatch contexts carry it so lanes
@@ -594,20 +583,6 @@ type Session struct {
 // session for chaining.
 func (s *Session) UseRetry(pol *xrpc.RetryPolicy) *Session {
 	s.Retry = pol
-	return s
-}
-
-// UseShards installs shard maps on the session (see Shards) and returns the
-// session for chaining.
-func (s *Session) UseShards(maps ...core.ShardMap) *Session {
-	s.Shards = append(s.Shards, maps...)
-	return s
-}
-
-// UseLiveShards makes the session plan every query against the network's
-// live shard topology (see LiveShards) and returns the session for chaining.
-func (s *Session) UseLiveShards() *Session {
-	s.LiveShards = true
 	return s
 }
 
@@ -649,52 +624,32 @@ func semanticsOf(s core.Strategy) xrpc.Semantics {
 	}
 }
 
-// Query decomposes and executes query source text, returning the result and
-// the measurement report.
+// Query decomposes query source text against the network's current shard
+// layout and executes it, returning the result and the measurement report.
+// The query executes — and fails over — entirely on the epoch it planned
+// under, and the next query picks up whatever epoch is then current;
+// epoch-aware dispatch additionally re-routes a lane to the newest layout
+// when its plan-time primary has departed mid-query.
 func (s *Session) Query(src string) (xdm.Sequence, *Report, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.QueryParsed(q)
-}
-
-// QueryParsed decomposes and executes a parsed query.
-func (s *Session) QueryParsed(q *xq.Query) (xdm.Sequence, *Report, error) {
-	shards := s.shardSnapshot()
 	opts := core.DefaultOptions()
-	opts.Shards = shards
-	if len(shards) > 0 {
-		opts.KnownPeers = s.net.PeerNames()
-	}
+	opts.Shards, _ = s.net.ShardTopology()
 	plan, err := core.Decompose(q, s.Strategy, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.execPlan(plan, shards)
+	return s.ExecutePlan(plan)
 }
 
-// shardSnapshot resolves the shard maps one query plans and executes
-// against: the live topology's current epoch under LiveShards (pinned for
-// the query's whole execution, however the network reshards meanwhile), the
-// session's frozen list otherwise.
-func (s *Session) shardSnapshot() []core.ShardMap {
-	if s.LiveShards {
-		maps, _ := s.net.ShardTopology()
-		return maps
-	}
-	return s.Shards
-}
-
-// ExecutePlan runs an already-decomposed plan (used by the ablation
-// benchmarks that tweak decomposition options, and by the service, which
-// plans through its epoch-keyed cache and installs the matching snapshot on
-// Shards).
+// ExecutePlan runs an already-decomposed plan on the shard layout it was
+// planned under (plan.Layout). The ablation benchmarks that tweak
+// decomposition options use it, and so does the service, which plans
+// through its epoch-keyed cache.
 func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
-	return s.execPlan(plan, s.Shards)
-}
-
-func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequence, *Report, error) {
+	shards := plan.Layout
 	ship := &shipStats{}
 	resolver := &peerResolver{peer: s.Origin, shipStats: ship}
 	engine := eval.NewEngine(resolver)

@@ -47,8 +47,7 @@ func TestLiveReshardRaceHammer(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					pol := &xrpc.RetryPolicy{RouteLive: g%2 == 0}
-					sess := w.n.NewSession(w.local, core.ByFragment).
-						UseLiveShards().UseRetry(pol)
+					sess := w.n.NewSession(w.local, core.ByFragment).UseRetry(pol)
 					if pol.RouteLive {
 						sess.UseHealth(xrpc.NewHealthTracker())
 					}

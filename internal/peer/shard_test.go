@@ -43,7 +43,10 @@ func TestShardPlannerMatchesHandWrittenScatter(t *testing.T) {
 			t.Fatalf("%d peers: hand-written scatter: %v", n, err)
 		}
 
-		planned := net.NewSession(local, core.ByFragment).UseShards(xmark.PeopleShardMap(names))
+		if _, err := net.UpdateShards(xmark.PeopleShardMap(names)); err != nil {
+			t.Fatal(err)
+		}
+		planned := net.NewSession(local, core.ByFragment)
 		planRes, planRep, err := planned.Query(xmark.LogicalScatterQuery())
 		if err != nil {
 			t.Fatalf("%d peers: planner scatter: %v", n, err)
@@ -77,7 +80,10 @@ func TestShardPlannerMatchesHandWrittenScatter(t *testing.T) {
 func TestShardFallbackMaterializesUnion(t *testing.T) {
 	cfg := xmark.Config{Seed: 3, Persons: 12, FillerBytes: 0, MinAge: 18, MaxAge: 50}
 	net, local, names := newShardedPeople(t, cfg, 3)
-	sess := net.NewSession(local, core.ByFragment).UseShards(xmark.PeopleShardMap(names))
+	if _, err := net.UpdateShards(xmark.PeopleShardMap(names)); err != nil {
+		t.Fatal(err)
+	}
+	sess := net.NewSession(local, core.ByFragment)
 	res, rep, err := sess.Query(fmt.Sprintf(
 		`doc(%q)/child::site/child::people/child::person[2]/child::name`, xmark.LogicalPeopleURI))
 	if err != nil {
@@ -123,17 +129,63 @@ func TestShardFallbackMaterializesUnion(t *testing.T) {
 }
 
 // TestShardUnknownPeerError locks in the bugfix: naming a peer outside the
-// engine's peer set is a distinct, detectable error, not a silent no-op plan.
+// federation is a distinct, detectable error at install, not a silent no-op
+// plan.
 func TestShardUnknownPeerError(t *testing.T) {
 	cfg := xmark.Config{Seed: 3, Persons: 8, FillerBytes: 0, MinAge: 18, MaxAge: 50}
-	net, local, names := newShardedPeople(t, cfg, 2)
+	net, _, names := newShardedPeople(t, cfg, 2)
 	bad := append(append([]string(nil), names...), "ghost")
-	sess := net.NewSession(local, core.ByFragment).UseShards(xmark.PeopleShardMap(bad))
-	_, _, err := sess.Query(xmark.LogicalScatterQuery())
+	_, err := net.UpdateShards(xmark.PeopleShardMap(bad))
 	if !errors.Is(err, core.ErrUnknownShardPeer) {
 		t.Fatalf("want ErrUnknownShardPeer, got %v", err)
 	}
 	if !strings.Contains(fmt.Sprint(err), "ghost") {
 		t.Fatalf("error should name the unknown peer: %v", err)
+	}
+}
+
+// TestShardInstallRejectsBadHosts: UpdateShards and Reshard check a layout
+// against the federation when it is installed — an unknown replica is the
+// typed unknown-peer error, an in-process primary or replica without the
+// shard document is refused, and a rejected install leaves the topology
+// untouched. Externally routed peers are trusted.
+func TestShardInstallRejectsBadHosts(t *testing.T) {
+	cfg := xmark.Config{Seed: 3, Persons: 8, FillerBytes: 0, MinAge: 18, MaxAge: 50}
+	net, _, names := newShardedPeople(t, cfg, 2)
+	net.AddPeer("empty") // a member holding no shard document
+	withReplica := func(rep string) core.ShardMap {
+		m := xmark.PeopleShardMap(names)
+		m.Replicas = [][]string{{rep}}
+		return m
+	}
+
+	_, err := net.UpdateShards(withReplica("ghost"))
+	if !errors.Is(err, core.ErrUnknownShardPeer) || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("unknown replica: want ErrUnknownShardPeer naming ghost, got %v", err)
+	}
+	for _, m := range []core.ShardMap{withReplica("empty"), xmark.PeopleShardMap([]string{names[0], "empty"})} {
+		_, err := net.UpdateShards(m)
+		if err == nil || errors.Is(err, core.ErrUnknownShardPeer) || !strings.Contains(err.Error(), "empty holds no copy") {
+			t.Fatalf("host without the shard document: want a missing-copy error, got %v", err)
+		}
+	}
+	if maps, epoch := net.ShardTopology(); maps != nil || epoch != 0 {
+		t.Fatalf("rejected installs changed the topology: %d maps, epoch %d", len(maps), epoch)
+	}
+
+	net.RouteExternal("remote", net.Transport)
+	epoch, err := net.UpdateShards(withReplica("remote"))
+	if err != nil || epoch != 1 {
+		t.Fatalf("external replica: epoch %d, err %v", epoch, err)
+	}
+	_, err = net.Reshard(xmark.LogicalPeopleURI, core.ShardDelta{AddReplicas: map[int][]string{1: {"empty"}}})
+	if err == nil || !strings.Contains(err.Error(), "empty holds no copy") {
+		t.Fatalf("reshard onto a host without the shard document: got %v", err)
+	}
+	if _, err := net.Reshard("shard://nowhere", core.ShardDelta{}); err == nil {
+		t.Fatal("reshard of a logical document with no installed map succeeded")
+	}
+	if _, epoch := net.ShardTopology(); epoch != 1 {
+		t.Fatalf("rejected reshards moved the topology epoch to %d", epoch)
 	}
 }

@@ -88,14 +88,16 @@ func TestStreamedLogicalPlannerByteIdentical(t *testing.T) {
 	cfg := xmark.Config{Seed: 29, Persons: 80, FillerBytes: 20, MinAge: 18, MaxAge: 60}
 	for _, n := range []int{2, 4} {
 		net, local, names := newShardedPeople(t, cfg, n)
-		shardMap := xmark.PeopleShardMap(names)
+		if _, err := net.UpdateShards(xmark.PeopleShardMap(names)); err != nil {
+			t.Fatal(err)
+		}
 
-		gather := net.NewSession(local, core.ByFragment).UseShards(shardMap)
+		gather := net.NewSession(local, core.ByFragment)
 		gRes, _, err := gather.Query(xmark.LogicalScatterQuery())
 		if err != nil {
 			t.Fatalf("%d peers gather: %v", n, err)
 		}
-		streamed := net.NewSession(local, core.ByFragment).UseShards(shardMap)
+		streamed := net.NewSession(local, core.ByFragment)
 		streamed.Streamed = true
 		sRes, sRep, err := streamed.Query(xmark.LogicalScatterQuery())
 		if err != nil {

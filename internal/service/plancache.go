@@ -9,11 +9,11 @@ import (
 
 // cachedPlan is one plan-cache entry: the decomposed plan, whose query
 // carries its compiled Program (see xq.Query.CompiledArtifact). Both are
-// immutable after publication; the key's shard-map epoch guarantees a
+// immutable after publication; the key's topology epoch guarantees a
 // Program can never be executed against shard maps it was not planned under.
 type cachedPlan struct {
 	plan *core.Plan
-	// epoch is the shard-map epoch the plan was decomposed under (also
+	// epoch is the network topology epoch the plan was decomposed under (also
 	// embedded in the key). Inserting an entry of a newer epoch evicts every
 	// entry below it: superseded-epoch plans can never match again, so they
 	// would only displace live entries while aging out.
@@ -21,7 +21,7 @@ type cachedPlan struct {
 }
 
 // planCache is a bounded insert-order cache of decomposed plans (and their
-// compiled artifacts). Keys embed the shard-map epoch, so a shard-map change
+// compiled artifacts). Keys embed the topology epoch, so a shard-map change
 // invalidates by never matching again; stale entries age out through
 // insertion-order eviction.
 type planCache struct {

@@ -1,18 +1,18 @@
 // Package service implements the long-lived federation service behind
 // cmd/xqd: a query front end that holds warm transports, caches decomposed
-// plans across queries (keyed by normalized source and shard-map epoch),
-// and guards the engine with admission control — a capacity semaphore plus
-// a bounded wait queue with a queue-time budget — so offered load beyond
-// capacity is shed fast with a typed overload fault instead of collapsing
-// every query's latency. Admitted queries run under per-query wall-time
-// budgets (core.Budget) with adaptive hedging fed by a shared
+// plans across queries (keyed by normalized source and the network's
+// shard-topology epoch, so a layout change on the network re-plans on the
+// next query), and guards the engine with admission control — a capacity
+// semaphore plus a bounded wait queue with a queue-time budget — so offered
+// load beyond capacity is shed fast with a typed overload fault instead of
+// collapsing every query's latency. Admitted queries run under per-query
+// wall-time budgets (core.Budget) with adaptive hedging fed by a shared
 // xrpc.HealthTracker.
 package service
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -132,12 +132,9 @@ type Service struct {
 	xmetrics  *xrpc.Metrics
 	evalStats *eval.StatsSink
 
-	mu     sync.Mutex
-	shards []core.ShardMap
-	epoch  int64
-	// live plans every query against the network's live shard topology
-	// instead of the frozen shards list (see UseLiveShards).
-	live bool
+	// installErr holds the failures of UseShards installs; every later
+	// query fails with it.
+	installErr error
 
 	queued atomic.Int64
 	plans  *planCache
@@ -171,27 +168,16 @@ func (s *Service) UseRetry(pol *xrpc.RetryPolicy) *Service {
 	return s
 }
 
-// UseShards installs shard maps and bumps the shard-map epoch: cached plans
-// decomposed under the old maps stop matching and are re-planned on demand.
+// UseShards installs shard maps on the service's network — it is
+// Network.UpdateShards, chainable — and returns the service. The install
+// bumps the network's topology epoch, so cached plans decomposed under the
+// old layout stop matching and are re-planned on demand. A rejected layout
+// fails every later query with the install error. Call it before serving
+// queries; change the layout of a serving federation through the network
+// (UpdateShards, Reshard), which every query picks up at plan time.
 func (s *Service) UseShards(maps ...core.ShardMap) *Service {
-	s.mu.Lock()
-	s.shards = append(s.shards, maps...)
-	s.epoch++
-	s.mu.Unlock()
-	return s
-}
-
-// UseLiveShards makes the service plan every query against the network's
-// live shard topology (Network.UpdateShards/Reshard) instead of a frozen
-// UseShards list: each query snapshots the current epoch at plan time and
-// executes entirely on that snapshot, the plan-cache key takes the
-// federation topology epoch (so a reshard re-plans on the next query and
-// evicts superseded-epoch entries), and lanes re-route to the newest layout
-// when their plan-time primary departs mid-query.
-func (s *Service) UseLiveShards() *Service {
-	s.mu.Lock()
-	s.live = true
-	s.mu.Unlock()
+	_, err := s.net.UpdateShards(maps...)
+	s.installErr = errors.Join(s.installErr, err)
 	return s
 }
 
@@ -238,32 +224,24 @@ func (s *Service) admit(budget core.Budget) (release func(), err error) {
 }
 
 // plan returns the decomposed plan of query source, from the cache when the
-// same normalized source was planned under the current shard-map epoch. A
-// cached plan's AST is normalized exactly once, before publication, so
-// concurrent executions share it read-only.
-func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMap, error) {
+// same normalized source was planned under the network's current topology
+// epoch. The plan pins that epoch's layout (Plan.Layout) for its whole
+// execution however the network reshards meanwhile. A cached plan's AST is
+// normalized exactly once, before publication, so concurrent executions
+// share it read-only.
+func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, error) {
+	if s.installErr != nil {
+		return nil, s.installErr
+	}
 	q, err := xq.ParseQuery(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s.mu.Lock()
-	shards := s.shards
-	epoch := s.epoch
-	live := s.live
-	s.mu.Unlock()
-	if live {
-		// Live mode: the federation topology epoch keys the cache, and the
-		// query pins this snapshot for its whole execution however the
-		// network reshards meanwhile.
-		shards, epoch = s.net.ShardTopology()
-	}
+	shards, epoch := s.net.ShardTopology()
 	key := fmt.Sprintf("%d|%d|%s", epoch, s.strategy, xq.PrintQuery(q))
 	entry, built, err := s.plans.getOrBuild(key, func() (cachedPlan, error) {
 		opts := core.DefaultOptions()
 		opts.Shards = shards
-		if len(shards) > 0 {
-			opts.KnownPeers = s.net.PeerNames()
-		}
 		plan, err := core.Decompose(q, s.strategy, opts)
 		if err != nil {
 			return cachedPlan{}, err
@@ -288,9 +266,9 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		sp.Set(trace.Str("cache", "hit"))
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return entry.plan, shards, nil
+	return entry.plan, nil
 }
 
 // Query admits, plans and executes one query under a wall-time budget (the
@@ -327,7 +305,7 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 	defer release()
 	s.admitted.Add(1)
 	psp := root.Child("plan")
-	plan, shards, err := s.plan(src, psp)
+	plan, err := s.plan(src, psp)
 	psp.EndErr(err)
 	if err != nil {
 		s.failed.Add(1)
@@ -340,7 +318,6 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 		UseHealth(s.Health).
 		UseTrace(root)
 	sess.Streamed = s.cfg.Streamed
-	sess.Shards = shards
 	sess.Replicas = s.Replicas
 	sess.AggMetrics = s.xmetrics
 	sess.AggEval = s.evalStats

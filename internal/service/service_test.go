@@ -13,6 +13,18 @@ import (
 	"distxq/internal/xrpc"
 )
 
+// values renders a result sequence as its space-separated item strings.
+func values(res xdm.Sequence) string {
+	out := ""
+	for i, it := range res {
+		if i > 0 {
+			out += " "
+		}
+		out += it.ItemString()
+	}
+	return out
+}
+
 // newTestService builds a two-peer scatter federation behind a service.
 func newTestService(t *testing.T, cfg Config) (*Service, *peer.Network, string) {
 	t.Helper()
@@ -235,8 +247,8 @@ func TestPlanCacheEviction(t *testing.T) {
 }
 
 // TestCompiledPlanNotStaleAcrossShardEpochs is the stale-plan proof for
-// compiled execution: UseShards between two identical queries bumps the
-// epoch, so the second execution misses the cache, re-plans and re-compiles
+// compiled execution: UseShards between two identical queries installs the
+// new map on the network and bumps its topology epoch, so the second execution misses the cache, re-plans and re-compiles
 // against the new shard map — and the old compiled plan can never route to a
 // peer absent from it. The old shard peers are killed before the second
 // query; it still succeeds, answered entirely by the new map's peers.
@@ -259,16 +271,6 @@ func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
 		}
 	}
 	query := `for $x in doc("shard://test/d")/child::r/child::v return $x`
-	values := func(res xdm.Sequence) string {
-		out := ""
-		for i, it := range res {
-			if i > 0 {
-				out += " "
-			}
-			out += it.ItemString()
-		}
-		return out
-	}
 
 	s.UseShards(shardMap("peer1", "peer2"))
 	res, rep, err := s.Query(query, core.Budget{})
@@ -327,9 +329,9 @@ func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
 }
 
 // TestLiveEpochRePlanAndReroute extends the stale-plan proof to the live
-// topology: under UseLiveShards the service keys its plan cache on
-// Network.TopologyEpoch, so a Reshard applied directly to the network — no
-// UseShards call, no service involvement at all — forces a re-plan, and the
+// topology: the service keys its plan cache on the network's topology
+// epoch, so a Reshard applied directly to the network — no UseShards call,
+// no service involvement at all — forces a re-plan, and the
 // next query follows the shards to their new homes even though every old
 // host is dead.
 func TestLiveEpochRePlanAndReroute(t *testing.T) {
@@ -349,18 +351,8 @@ func TestLiveEpochRePlanAndReroute(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := New(n, origin, core.ByFragment, Config{}).UseLiveShards()
+	s := New(n, origin, core.ByFragment, Config{})
 	query := `for $x in doc("shard://test/d")/child::r/child::v return $x`
-	values := func(res xdm.Sequence) string {
-		out := ""
-		for i, it := range res {
-			if i > 0 {
-				out += " "
-			}
-			out += it.ItemString()
-		}
-		return out
-	}
 
 	res, _, err := s.Query(query, core.Budget{})
 	if err != nil {
@@ -394,5 +386,120 @@ func TestLiveEpochRePlanAndReroute(t *testing.T) {
 	}
 	if st := s.Stats(); st.PlanMisses != 2 || st.PlanHits != 0 {
 		t.Fatalf("misses=%d hits=%d, want 2/0 (live epoch must miss)", st.PlanMisses, st.PlanHits)
+	}
+}
+
+// TestOneShardTopology pins the network's versioned layout as the only home
+// of shard maps: a session created before the install plans against it on
+// its next query, a session and a service on one network plan against the
+// same epoch and follow a reshard together, and a hand-written scatter loop
+// fails over through the installed map's replica sets with no Replicas of
+// its own.
+func TestOneShardTopology(t *testing.T) {
+	n := peer.NewNetwork()
+	for i := 1; i <= 3; i++ {
+		doc := fmt.Sprintf(`<r><v>a%d</v></r>`, i)
+		if err := n.AddPeer(fmt.Sprintf("peer%d", i)).LoadXML("d.xml", doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.AddPeer("rep1").LoadXML("d.xml", `<r><v>a1</v></r>`); err != nil {
+		t.Fatal(err)
+	}
+	origin := n.AddPeer("local")
+	sess := n.NewSession(origin, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
+	svc := New(n, origin, core.ByFragment, Config{})
+	logical := `for $x in doc("shard://test/d")/child::r/child::v return $x`
+	// both runs the logical query through the session and the service, and
+	// checks they agree on the answer and that the service's cached plan
+	// carries the network's current epoch.
+	both := func(want string) {
+		t.Helper()
+		res, rep, err := sess.Query(logical)
+		if err != nil {
+			t.Fatalf("session: %v", err)
+		}
+		if got := values(res); got != want {
+			t.Fatalf("session result %q, want %q", got, want)
+		}
+		if len(rep.Shards) == 0 || !rep.Shards[0].Scattered {
+			t.Fatalf("session plan did not scatter: %+v", rep.Shards)
+		}
+		if res, _, err = svc.Query(logical, core.Budget{}); err != nil {
+			t.Fatalf("service: %v", err)
+		}
+		if got := values(res); got != want {
+			t.Fatalf("service result %q, want %q", got, want)
+		}
+		_, epoch := n.ShardTopology()
+		svc.plans.mu.Lock()
+		defer svc.plans.mu.Unlock()
+		for _, e := range svc.plans.entries {
+			if e.epoch != epoch {
+				t.Fatalf("service plan of epoch %d, network epoch %d", e.epoch, epoch)
+			}
+		}
+	}
+
+	if _, _, err := sess.Query(logical); err == nil {
+		t.Fatal("the logical document resolved before any layout was installed")
+	}
+	if _, err := n.UpdateShards(core.ShardMap{
+		Logical:    "shard://test/d",
+		Peers:      []string{"peer1", "peer2"},
+		ShardPath:  "d.xml",
+		RecordPath: "child::r/child::v",
+		Replicas:   [][]string{{"rep1"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	both("a1 a2")
+
+	if _, err := n.Reshard("shard://test/d", core.ShardDelta{
+		Join:  []string{"peer3"},
+		Move:  map[int]string{1: "peer3"},
+		Leave: []string{"peer2"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	n.KillPeer("peer2")
+	both("a1 a3")
+
+	n.KillPeer("peer1")
+	res, rep, err := sess.Query(`
+declare function f() as item()* { doc("d.xml")/child::r/child::v };
+for $p in ("peer1", "peer3") return execute at {$p} { f() }`)
+	if err != nil {
+		t.Fatalf("hand-written loop with peer1 killed: %v", err)
+	}
+	if got := values(res); got != "a1 a3" {
+		t.Fatalf("hand-written loop result %q, want \"a1 a3\"", got)
+	}
+	if w := rep.WinnerReplica["peer1"]; w != "rep1" {
+		t.Fatalf("WinnerReplica[peer1] = %q, want rep1 from the installed map", w)
+	}
+}
+
+// TestServiceUseShardsInstallError: UseShards is an install onto the
+// network, and a rejected layout fails every later query with the install
+// error while the network's topology stays untouched.
+func TestServiceUseShardsInstallError(t *testing.T) {
+	s, n, query := newTestService(t, Config{})
+	s.UseShards(core.ShardMap{
+		Logical:    "shard://test/d",
+		Peers:      []string{"peer1", "ghost"},
+		ShardPath:  "d.xml",
+		RecordPath: "child::r/child::v",
+	})
+	for i := 0; i < 2; i++ {
+		if _, _, err := s.Query(query, core.Budget{}); !errors.Is(err, core.ErrUnknownShardPeer) {
+			t.Fatalf("query %d: want ErrUnknownShardPeer, got %v", i, err)
+		}
+	}
+	if st := s.Stats(); st.Failed != 2 || st.PlanMisses != 0 {
+		t.Fatalf("failed=%d misses=%d, want 2/0", st.Failed, st.PlanMisses)
+	}
+	if maps, epoch := n.ShardTopology(); maps != nil || epoch != 0 {
+		t.Fatalf("rejected install changed the topology: %d maps, epoch %d", len(maps), epoch)
 	}
 }

@@ -271,11 +271,6 @@ func (n *Node) IsAncestorOf(m *Node) bool {
 	return false
 }
 
-// IsDescendantOrSelf reports whether n is m or a descendant of m.
-func (n *Node) IsDescendantOrSelf(m *Node) bool {
-	return n == m || m.IsAncestorOf(n)
-}
-
 // Compare orders two nodes in global document order: negative when n comes
 // before m, zero only when n == m. Both documents must be frozen.
 func Compare(n, m *Node) int {
@@ -368,26 +363,6 @@ func (n *Node) WalkDescendants(f func(*Node) bool) bool {
 	return true
 }
 
-// DescendantOrSelfIndex returns the 1-based position of target within the
-// document-order sequence descendant-or-self::node() of n (attributes
-// excluded), or 0 when target is not in that sequence. Note this counts
-// every node: the XRPC fragment codec builds its own numbering tables
-// (which additionally merge adjacent text siblings); this helper remains as
-// a per-node oracle for those tables.
-func (n *Node) DescendantOrSelfIndex(target *Node) int {
-	idx := 0
-	found := 0
-	n.WalkDescendants(func(m *Node) bool {
-		idx++
-		if m == target {
-			found = idx
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // NthDescendantOrSelf returns the idx-th (1-based) node of
 // descendant-or-self::node() of n in document order, or nil.
 func (n *Node) NthDescendantOrSelf(idx int) *Node {
@@ -453,17 +428,6 @@ func (n *Node) Copy() *Node {
 		cc.sibIdx = int32(i)
 		c.Children = append(c.Children, cc)
 	}
-	return c
-}
-
-// CopyToDocument deep-copies n into a fresh frozen document with the given
-// URI and returns the copy of n within it. This implements the node copying
-// of XQuery element constructors and of pass-by-value shipping.
-func CopyToDocument(n *Node, uri string) *Node {
-	d := NewDocument(uri)
-	c := n.Copy()
-	d.Root.AppendChild(c)
-	d.Freeze()
 	return c
 }
 

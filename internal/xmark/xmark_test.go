@@ -106,10 +106,6 @@ func TestBenchmarkQueryMentionsPeers(t *testing.T) {
 		!strings.Contains(q, "xrpc://h2/xmk.auctions.xml") {
 		t.Errorf("query lacks peer URIs:\n%s", q)
 	}
-	q2 := ProjectionQuery("h3")
-	if !strings.Contains(q2, "xrpc://h3/xmk.xml") {
-		t.Errorf("projection query lacks URI:\n%s", q2)
-	}
 }
 
 func TestFillerApproximatesSize(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/trace"
-	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
 
@@ -171,7 +170,3 @@ func (s *Server) Handle(request []byte) ([]byte, error) {
 	}
 	return data, nil
 }
-
-// RequestFragmentDocs exposes the decoded fragment documents of a parsed
-// request; the semantics tests use it to check identity preservation.
-func (r *Request) RequestFragmentDocs() []*xdm.Document { return r.fragDocs }

@@ -331,28 +331,6 @@ func (w *chunkWriter) close(shredNS int64, spans []trace.Span) error {
 	return w.emit(data)
 }
 
-// MarshalResponseStream splits an already-evaluated response into chunk
-// frames (at most itemsPerChunk result items each) delivered to emit in
-// order, terminal frame included. It is the gather-to-stream adaptor: the
-// framing tests and non-incremental servers use it; Server.HandleStream
-// instead emits each call's frames as soon as that call has evaluated.
-func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, resultReturned projection.PathSet, opts projection.Options, emit func([]byte) error) error {
-	w := &chunkWriter{
-		sem: resp.Semantics, used: resultUsed, returned: resultReturned,
-		opts: opts, itemsPer: itemsPerChunk, emit: emit,
-	}
-	for ci, res := range resp.Results {
-		exec := int64(0)
-		if ci == 0 {
-			exec = resp.ExecNanos
-		}
-		if err := w.writeCall(ci, res, exec); err != nil {
-			return err
-		}
-	}
-	return w.close(resp.SerializeNanos, resp.Spans)
-}
-
 // HandleStream implements StreamHandler: each call's results leave the peer
 // as chunk frames while the call is still evaluating — the server pulls the
 // engine's lazy result sequence and a frame departs every ChunkItems items,

@@ -16,16 +16,28 @@ import (
 	"distxq/internal/xq"
 )
 
-// collectFrames marshals a response into its stream frames.
+// collectFrames splits an already-evaluated response into its stream frames
+// (at most itemsPerChunk result items each), terminal frame included.
 func collectFrames(t testing.TB, resp *Response, itemsPerChunk int) [][]byte {
 	t.Helper()
 	var frames [][]byte
-	err := MarshalResponseStream(resp, itemsPerChunk, nil, nil, projection.Options{},
-		func(frame []byte) error {
+	w := &chunkWriter{
+		sem: resp.Semantics, itemsPer: itemsPerChunk,
+		emit: func(frame []byte) error {
 			frames = append(frames, append([]byte(nil), frame...))
 			return nil
-		})
-	if err != nil {
+		},
+	}
+	for ci, res := range resp.Results {
+		exec := int64(0)
+		if ci == 0 {
+			exec = resp.ExecNanos
+		}
+		if err := w.writeCall(ci, res, exec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(resp.SerializeNanos, resp.Spans); err != nil {
 		t.Fatal(err)
 	}
 	return frames
