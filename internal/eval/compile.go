@@ -96,14 +96,22 @@ func boolSeq(b bool) xdm.Sequence {
 
 // CompileQuery lowers a query into a Program and caches it on the query, so
 // every engine executing the same (shared, read-only) query object reuses
-// one compilation. The query is normalized first; compilation itself cannot
-// fail — unsupported shapes compile to tree-walker fallbacks.
+// one compilation. The query is normalized first and its shipped modules are
+// rendered (xq.RenderModules), so a published plan carries every module text
+// its requests need; lowering itself cannot fail — unsupported shapes
+// compile to tree-walker fallbacks. Normalizing and rendering write the
+// AST, so a query that goroutines share must have been through both before
+// it is shared: the service's plan cache compiles its plans first, the peer
+// module cache normalizes and renders its modules first.
 func CompileQuery(q *xq.Query) (*Program, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
 	if p, ok := q.CompiledArtifact().(*Program); ok {
 		return p, nil
+	}
+	if err := xq.RenderModules(q); err != nil {
+		return nil, err
 	}
 	cp := &compiler{funcs: map[string]*cfunc{}}
 	// Pre-register every declared function so recursive and mutually

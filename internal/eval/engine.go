@@ -310,6 +310,15 @@ func (e *Engine) Doc(uri string) (*xdm.Document, error) {
 	return ent.doc, ent.err
 }
 
+// ForgetDoc drops the cached resolution of uri, so the next fn:doc call
+// resolves it again — for a long-lived engine whose documents are replaced.
+// Evaluations that already hold the old document keep it.
+func (e *Engine) ForgetDoc(uri string) {
+	e.mu.Lock()
+	delete(e.docCache, uri)
+	e.mu.Unlock()
+}
+
 // StatsSnapshot returns a consistent copy of the evaluation counters; use it
 // instead of reading Stats directly while queries may be in flight.
 func (e *Engine) StatsSnapshot() Stats {

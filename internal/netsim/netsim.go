@@ -38,7 +38,9 @@ func GigabitLAN() Model {
 }
 
 // WAN approximates a wide-area link (20 ms, 50 Mb/s), the setting the paper
-// argues benefits even more from reduced message sizes.
+// argues benefits even more from reduced message sizes. No figure runs on
+// it; it is kept exported for the WAN ablation benchmark in the root
+// package.
 func WAN() Model {
 	return Model{Latency: 20 * time.Millisecond, BandwidthBytesPerSec: 6.25e6}
 }

@@ -386,11 +386,15 @@ func (p *Peer) LoadXML(path, xmlText string) error {
 	return nil
 }
 
-// AddDoc stores a pre-built document under the given path.
+// AddDoc stores a pre-built document under the given path. A document it
+// replaces is also dropped from the peer engine's document cache under both
+// names the peer serves it by, so later requests read the new one.
 func (p *Peer) AddDoc(path string, d *xdm.Document) {
 	p.mu.Lock()
 	p.store[path] = d
 	p.mu.Unlock()
+	p.Engine.ForgetDoc(path)
+	p.Engine.ForgetDoc("xrpc://" + p.Name + "/" + path)
 }
 
 // Doc fetches a stored document.

@@ -80,9 +80,6 @@ type DocID struct {
 // String renders doc("uri"::"v").
 func (d DocID) String() string { return fmt.Sprintf("doc(%q::%q)", d.URI, fmt.Sprint(d.Vertex)) }
 
-// Wildcard reports whether the document URI is computed (doc(*)).
-func (d DocID) Wildcard() bool { return d.URI == "*" }
-
 // String renders the path in the grammar of Table V.
 func (p Path) String() string {
 	var sb strings.Builder

@@ -239,7 +239,7 @@ func TestAnalyzeComputedDocIsWildcard(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := a.Returned[q.Body]
-	if len(r) != 1 || r[0].Doc == nil || !r[0].Doc.Wildcard() {
+	if len(r) != 1 || r[0].Doc == nil || r[0].Doc.URI != "*" {
 		t.Errorf("computed doc should be wildcard: %s", r)
 	}
 }
@@ -379,18 +379,6 @@ func TestRuntimeVsCompileTimePrecision(t *testing.T) {
 	}
 	if !strings.Contains(xdm.SerializeString(rt.Root), `id="p2"`) {
 		t.Errorf("runtime projection lost the selected person: %s", xdm.SerializeString(rt.Root))
-	}
-}
-
-func TestSplitSubtreePaths(t *testing.T) {
-	p1, _ := ParsePath(`child::a/descendant-or-self::node()`)
-	p2, _ := ParsePath(`child::b`)
-	withSub, plain := SplitSubtreePaths(PathSet{p1, p2})
-	if len(withSub) != 1 || withSub[0].String() != "child::a" {
-		t.Errorf("withSubtree = %s", withSub)
-	}
-	if len(plain) != 1 || plain[0].String() != "child::b" {
-		t.Errorf("plain = %s", plain)
 	}
 }
 

@@ -262,22 +262,3 @@ func idBearingElements(ctx []*xdm.Node, attrNames []string) []*xdm.Node {
 	}
 	return out
 }
-
-// SplitSubtreePaths partitions a path set into "returned-like" paths (whose
-// last step keeps the whole subtree: descendant-or-self::node() widenings
-// added for atomization/copying) and plain used paths. The message layer
-// ships them as returned-path vs used-path elements.
-func SplitSubtreePaths(ps PathSet) (withSubtree, plain PathSet) {
-	for _, p := range ps {
-		if n := len(p.Steps); n > 0 {
-			last := p.Steps[n-1]
-			if last.Fn == FnNone && last.Axis == xq.AxisDescendantOrSelf &&
-				last.Test.Kind == xq.TestAnyNode {
-				withSubtree = withSubtree.Add(Path{Doc: p.Doc, Steps: p.Steps[:n-1]})
-				continue
-			}
-		}
-		plain = plain.Add(p)
-	}
-	return withSubtree, plain
-}

@@ -21,7 +21,7 @@ func TestMetricsTextSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	text := svc.MetricsText()
+	text := metricsText(svc)
 	for _, want := range []string{
 		"# HELP distxq_service_admitted_total",
 		"# TYPE distxq_service_admitted_total counter",
@@ -59,14 +59,14 @@ func TestAggregateMetricsRetainNoWaves(t *testing.T) {
 	if dispatched < queries {
 		t.Fatalf("%d queries dispatched only %d waves", queries, dispatched)
 	}
-	m := svc.XRPCMetrics()
+	m := svc.xmetrics.Snapshot()
 	if len(m.Waves) != 0 {
 		t.Errorf("aggregate retained %d per-wave slices, want none", len(m.Waves))
 	}
 	if m.WaveCount != dispatched {
 		t.Errorf("aggregate wave count = %d, want %d", m.WaveCount, dispatched)
 	}
-	if want := fmt.Sprintf("distxq_xrpc_waves_total %d\n", dispatched); !strings.Contains(svc.MetricsText(), want) {
+	if want := fmt.Sprintf("distxq_xrpc_waves_total %d\n", dispatched); !strings.Contains(metricsText(svc), want) {
 		t.Errorf("metrics page is missing %q", want)
 	}
 }
@@ -90,11 +90,11 @@ func TestMetricsSnapshotRace(t *testing.T) {
 					return
 				default:
 				}
-				_ = svc.MetricsText()
+				_ = metricsText(svc)
 				_ = svc.Stats()
 				_ = svc.PeerHealth()
-				_ = svc.EvalStats()
-				_ = svc.XRPCMetrics()
+				_ = svc.evalStats.Snapshot()
+				_ = svc.xmetrics.Snapshot()
 				if svc.Traces != nil {
 					_ = svc.Traces.Dump()
 				}
@@ -120,10 +120,10 @@ func TestMetricsSnapshotRace(t *testing.T) {
 	if st := svc.Stats(); st.Completed != 40 {
 		t.Errorf("completed = %d, want 40", st.Completed)
 	}
-	if m := svc.XRPCMetrics(); m.Requests == 0 {
+	if m := svc.xmetrics.Snapshot(); m.Requests == 0 {
 		t.Error("aggregate transport metrics saw no requests")
 	}
-	if ev := svc.EvalStats(); ev.BulkCalls == 0 {
+	if ev := svc.evalStats.Snapshot(); ev.BulkCalls == 0 {
 		t.Error("aggregate eval stats saw no bulk calls")
 	}
 }
@@ -173,4 +173,11 @@ func TestTracedQueryRing(t *testing.T) {
 	if d := svc.Traces.Dump(); len(d.Recent) != 2 {
 		t.Errorf("ring holds %d recent traces, want 2", len(d.Recent))
 	}
+}
+
+// metricsText renders the unified metrics page to a string.
+func metricsText(s *Service) string {
+	var sb strings.Builder
+	_ = s.WriteMetrics(&sb)
+	return sb.String()
 }

@@ -138,9 +138,9 @@ func sign(x int) int {
 }
 
 func TestConcatAndSingleton(t *testing.T) {
-	s := Concat(Singleton(NewInteger(1)), EmptySequence, Singleton(NewInteger(2)))
+	s := append(append(Singleton(NewInteger(1)), EmptySequence...), Singleton(NewInteger(2))...)
 	if len(s) != 2 || s[0].(Atomic).I != 1 || s[1].(Atomic).I != 2 {
-		t.Errorf("Concat = %v", s)
+		t.Errorf("concatenation = %v", s)
 	}
 }
 

@@ -61,8 +61,8 @@ func TestParseBytesMatchesParse(t *testing.T) {
 			if !got.Frozen() {
 				t.Error("ParseBytes must return a frozen document")
 			}
-			if got.NodeCount() != want.NodeCount() {
-				t.Errorf("NodeCount = %d, want %d", got.NodeCount(), want.NodeCount())
+			if got.nnodes != want.nnodes {
+				t.Errorf("NodeCount = %d, want %d", got.nnodes, want.nnodes)
 			}
 		})
 	}

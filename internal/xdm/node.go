@@ -79,12 +79,10 @@ func NewDocument(uri string) *Document {
 // different documents.
 func (d *Document) Seq() uint64 { return d.seq }
 
-// Frozen reports whether Freeze has been called.
+// Frozen reports whether Freeze has been called. Production code tracks
+// freezing itself; the accessor is kept exported for the projection and
+// shard tests, which check that the documents they build come out frozen.
 func (d *Document) Frozen() bool { return d.frozen }
-
-// NodeCount returns the number of nodes in the frozen document (including the
-// document node and attributes).
-func (d *Document) NodeCount() int { return d.nnodes }
 
 // DocElem returns the document element (first element child of the document
 // node), or nil for an empty document.
@@ -364,7 +362,10 @@ func (n *Node) WalkDescendants(f func(*Node) bool) bool {
 }
 
 // NthDescendantOrSelf returns the idx-th (1-based) node of
-// descendant-or-self::node() of n in document order, or nil.
+// descendant-or-self::node() of n in document order, or nil. It walks the
+// subtree per call; no production path uses it. It is kept exported as the
+// oracle the xrpc codec tests hold the fragment-decode numbering table
+// against.
 func (n *Node) NthDescendantOrSelf(idx int) *Node {
 	if idx <= 0 {
 		return nil

@@ -148,11 +148,11 @@ func TestFreezeAssignsSiblingIndexAndSubtreeSize(t *testing.T) {
 		}
 	}
 	walk(d.Root)
-	if count != d.NodeCount() {
-		t.Errorf("NodeCount = %d, counted %d", d.NodeCount(), count)
+	if count != d.nnodes {
+		t.Errorf("NodeCount = %d, counted %d", d.nnodes, count)
 	}
-	if d.Root.SubtreeSize() != int32(d.NodeCount()) {
-		t.Errorf("root size = %d, want NodeCount %d", d.Root.SubtreeSize(), d.NodeCount())
+	if d.Root.SubtreeSize() != int32(d.nnodes) {
+		t.Errorf("root size = %d, want NodeCount %d", d.Root.SubtreeSize(), d.nnodes)
 	}
 }
 

@@ -463,6 +463,11 @@ type XRPCExpr struct {
 	// Types carries declared parameter types when the expression came from
 	// inlining a declared function; nil means item()*.
 	Types []SeqType
+	// Module is the shipped module text: the self-contained function
+	// declaration every request for this expression carries. RenderModules
+	// fills it once per plan, before the plan is shared; it is read-only
+	// afterwards, so every lane, retry and hedge ships identical bytes.
+	Module string
 }
 
 // XRPCParam is `$Name := $Ref` (rule 28): the remote body sees $Name bound

@@ -237,3 +237,51 @@ func TestPrintParseFixpointProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRenderModules: rendering prints each shipped module once — a second
+// render keeps the text it stored — parses back to the function the message
+// names, and refuses unnamed expressions and nested remote calls.
+func TestRenderModules(t *testing.T) {
+	q := MustParseQuery(`
+	declare function f($a as xs:integer) as item()* { $a + 1 };
+	(execute at {"p"} { f(41) }, execute at {"q"} { f(1) })`)
+	if err := Normalize(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := RenderModules(q); err != nil {
+		t.Fatal(err)
+	}
+	var xs []*XRPCExpr
+	Walk(q.Body, func(e Expr) bool {
+		if x, ok := e.(*XRPCExpr); ok {
+			xs = append(xs, x)
+		}
+		return true
+	})
+	if len(xs) != 2 {
+		t.Fatalf("%d execute-at expressions, want 2", len(xs))
+	}
+	first := xs[0].Module
+	if err := RenderModules(q); err != nil || xs[0].Module != first {
+		t.Errorf("second render changed the module (%v): %q -> %q", err, first, xs[0].Module)
+	}
+	for _, x := range xs {
+		shipped, err := ParseQuery(x.Module + "\n0")
+		if err != nil {
+			t.Fatalf("rendered module does not parse: %v\n%s", err, x.Module)
+		}
+		if len(shipped.Funcs) != 1 || shipped.Funcs[0].Name != "f" || len(shipped.Funcs[0].Params) != 1 {
+			t.Errorf("rendered module declares the wrong function: %s", x.Module)
+		}
+	}
+
+	unnamed := &XRPCExpr{Target: &Literal{}, Body: &Literal{}}
+	if err := RenderModules(&Query{Body: unnamed}); err == nil || unnamed.Module != "" {
+		t.Errorf("unnamed expression rendered (%v): %q", err, unnamed.Module)
+	}
+	nested := &XRPCExpr{Target: &Literal{}, FuncName: "g",
+		Body: &XRPCExpr{Target: &Literal{}, FuncName: "h", Body: &Literal{}}}
+	if err := RenderModules(&Query{Body: nested}); err == nil || !strings.Contains(err.Error(), "nested execute-at") {
+		t.Errorf("nested remote call rendered: %v", err)
+	}
+}

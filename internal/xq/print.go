@@ -317,3 +317,55 @@ func printPath(sb *strings.Builder, pe *PathExpr, paren bool) {
 	}
 	clos(sb, paren)
 }
+
+// RenderModules renders the shipped module of every XRPCExpr in q that has
+// none yet (see XRPCExpr.Module). It runs where a plan is lowered — the
+// evaluator's compile step, before a compiled query is published — so a
+// module is printed once per plan instead of once per request. An unnamed
+// expression, or one whose body holds a nested remote call (the decomposer
+// never generates these: fcn0 stays local), fails the render.
+func RenderModules(q *Query) error {
+	var err error
+	visit := func(e Expr) bool {
+		x, ok := e.(*XRPCExpr)
+		if err != nil || !ok || x.Module != "" {
+			return err == nil
+		}
+		err = renderModule(x)
+		return err == nil
+	}
+	for _, f := range q.Funcs {
+		Walk(f.Body, visit)
+	}
+	Walk(q.Body, visit)
+	return err
+}
+
+// renderModule prints x's body as the function declaration named x.FuncName.
+func renderModule(x *XRPCExpr) error {
+	if x.FuncName == "" {
+		return fmt.Errorf("xq: execute-at expression has no function name to ship")
+	}
+	nested := false
+	Walk(x.Body, func(sub Expr) bool {
+		switch sub.(type) {
+		case *XRPCExpr, *ExecuteAt:
+			nested = true
+		}
+		return !nested
+	})
+	if nested {
+		return fmt.Errorf("xq: shipped function %s contains a nested execute-at; "+
+			"the decomposer never generates these (fcn0 stays local)", x.FuncName)
+	}
+	f := &FuncDecl{Name: x.FuncName, Return: AnyItems, Body: x.Body}
+	for i, par := range x.Params {
+		typ := AnyItems
+		if i < len(x.Types) {
+			typ = x.Types[i]
+		}
+		f.Params = append(f.Params, Param{Name: par.Name, Type: typ})
+	}
+	x.Module = PrintFuncDecl(f)
+	return nil
+}

@@ -157,8 +157,6 @@ func (m *Metrics) totals(waves [][]Lane) Metrics {
 	}
 }
 
-var clientFuncSeq atomic.Uint64
-
 // DefaultMaxConcurrent bounds the per-wave worker pool of dispatch when
 // Client.MaxConcurrent is zero.
 const DefaultMaxConcurrent = 8
@@ -425,19 +423,15 @@ func (c *Client) Dispatch(x *xq.XRPCExpr, batches []eval.ScatterBatch) ([]<-chan
 // the attempt's trace identity into the request so the server records and
 // returns its own spans.
 func (c *Client) marshalCall(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, sp trace.SpanRef) (data []byte, serNS int64, err error) {
-	if containsRemote(x.Body) {
-		return nil, 0, fmt.Errorf("xrpc: shipped function body contains a nested execute-at; " +
-			"the decomposer never generates these (fcn0 stays local)")
-	}
-	name := x.FuncName
-	if name == "" {
-		name = fmt.Sprintf("xrpcgen:f%d", clientFuncSeq.Add(1))
+	if x.Module == "" {
+		return nil, 0, fmt.Errorf("xrpc: execute-at expression %q has no rendered module; "+
+			"compile its query (xq.RenderModules) before dispatch", x.FuncName)
 	}
 	req := &Request{
-		Method:    name,
+		Method:    x.FuncName,
 		Arity:     len(x.Params),
 		Semantics: c.Semantics,
-		Module:    shipModule(x, name),
+		Module:    x.Module,
 		Static:    c.Static,
 		Calls:     iterations,
 	}
@@ -557,31 +551,4 @@ func (c *Client) exchange(ctx context.Context, target string, x *xq.XRPCExpr, it
 		}
 	}
 	return lane, nil
-}
-
-// shipModule renders the self-contained function declaration shipped in the
-// request's module element.
-func shipModule(x *xq.XRPCExpr, name string) string {
-	f := &xq.FuncDecl{Name: name, Return: xq.AnyItems, Body: x.Body}
-	for i, par := range x.Params {
-		typ := xq.AnyItems
-		if i < len(x.Types) {
-			typ = x.Types[i]
-		}
-		f.Params = append(f.Params, xq.Param{Name: par.Name, Type: typ})
-	}
-	return xq.PrintFuncDecl(f)
-}
-
-func containsRemote(e xq.Expr) bool {
-	found := false
-	xq.Walk(e, func(sub xq.Expr) bool {
-		switch sub.(type) {
-		case *xq.XRPCExpr, *xq.ExecuteAt:
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

@@ -1,10 +1,10 @@
 package xrpc
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"distxq/internal/projection"
@@ -243,35 +243,32 @@ func (st *encodeState) refFor(n *xdm.Node) (fragid, nodeid int, attrName string,
 }
 
 // writeFragments emits the fragments preamble.
-func (st *encodeState) writeFragments(sb *strings.Builder) {
+func (st *encodeState) writeFragments(sb *bytes.Buffer) {
 	if len(st.frags) == 0 {
-		fmt.Fprintf(sb, "<%s/>", elFragments)
+		sb.WriteString("<" + elFragments + "/>")
 		return
 	}
-	fmt.Fprintf(sb, "<%s>", elFragments)
+	sb.WriteString("<" + elFragments + ">")
 	for _, f := range st.frags {
 		uri := ""
 		if f.origDoc != nil {
 			uri = f.origDoc.URI
 		}
-		fmt.Fprintf(sb, `<%s base-uri="%s"`, elFragment, escapeAttr(uri))
+		sb.WriteString("<" + elFragment)
+		writeEscAttr(sb, "base-uri", uri)
 		if f.isDoc {
 			sb.WriteString(` kind="document"`)
 		}
 		sb.WriteString(">")
 		_ = xdm.Serialize(sb, f.root)
-		fmt.Fprintf(sb, "</%s>", elFragment)
+		sb.WriteString("</" + elFragment + ">")
 	}
-	fmt.Fprintf(sb, "</%s>", elFragments)
+	sb.WriteString("</" + elFragments + ">")
 }
 
-var attrEscaperMsg = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-
-func escapeAttr(s string) string { return attrEscaperMsg.Replace(s) }
-
 // writeSequence emits one xrpc:sequence for a value sequence.
-func (st *encodeState) writeSequence(sb *strings.Builder, s xdm.Sequence) error {
-	fmt.Fprintf(sb, "<%s>", elSequence)
+func (st *encodeState) writeSequence(sb *bytes.Buffer, s xdm.Sequence) error {
+	sb.WriteString("<" + elSequence + ">")
 	for _, it := range s {
 		switch v := it.(type) {
 		case xdm.Atomic:
@@ -282,10 +279,12 @@ func (st *encodeState) writeSequence(sb *strings.Builder, s xdm.Sequence) error 
 				if !ok {
 					return fmt.Errorf("xrpc: node %s not covered by any fragment", v.Name)
 				}
-				el := refElName(v.Kind)
-				fmt.Fprintf(sb, `<%s fragid="%d" nodeid="%d"`, el, fragid, nodeid)
+				sb.WriteByte('<')
+				sb.WriteString(refElName(v.Kind))
+				writeIntAttr(sb, "fragid", int64(fragid))
+				writeIntAttr(sb, "nodeid", int64(nodeid))
 				if attrName != "" {
-					fmt.Fprintf(sb, ` name="%s"`, escapeAttr(attrName))
+					writeEscAttr(sb, "name", attrName)
 				}
 				sb.WriteString("/>")
 				continue
@@ -293,7 +292,7 @@ func (st *encodeState) writeSequence(sb *strings.Builder, s xdm.Sequence) error 
 			writeValueCopy(sb, v)
 		}
 	}
-	fmt.Fprintf(sb, "</%s>", elSequence)
+	sb.WriteString("</" + elSequence + ">")
 	return nil
 }
 
@@ -313,28 +312,42 @@ func refElName(k xdm.Kind) string {
 }
 
 // writeValueCopy serializes a deep copy of a node (pass-by-value, Fig. 1).
-func writeValueCopy(sb *strings.Builder, n *xdm.Node) {
+func writeValueCopy(sb *bytes.Buffer, n *xdm.Node) {
 	base := ""
 	if n.Doc != nil {
 		base = n.Doc.URI
 	}
 	switch n.Kind {
 	case xdm.AttributeNode:
-		fmt.Fprintf(sb, `<%s name="%s" value="%s" base-uri="%s"/>`,
-			elAttribute, escapeAttr(n.Name), escapeAttr(n.Text), escapeAttr(base))
+		sb.WriteString("<" + elAttribute)
+		writeEscAttr(sb, "name", n.Name)
+		writeEscAttr(sb, "value", n.Text)
+		writeEscAttr(sb, "base-uri", base)
+		sb.WriteString("/>")
 	case xdm.TextNode:
-		fmt.Fprintf(sb, `<%s>%s</%s>`, elTextNode, escapeText(n.Text), elTextNode)
+		writeTextEl(sb, elTextNode, n.Text)
 	case xdm.CommentNode:
-		fmt.Fprintf(sb, `<%s>%s</%s>`, elCommentEl, escapeText(n.Text), elCommentEl)
+		writeTextEl(sb, elCommentEl, n.Text)
 	case xdm.DocumentNode:
-		fmt.Fprintf(sb, `<%s base-uri="%s">`, elDocumentEl, escapeAttr(base))
+		sb.WriteString("<" + elDocumentEl)
+		writeEscAttr(sb, "base-uri", base)
+		sb.WriteByte('>')
 		_ = xdm.Serialize(sb, n)
-		fmt.Fprintf(sb, "</%s>", elDocumentEl)
+		sb.WriteString("</" + elDocumentEl + ">")
 	default:
-		fmt.Fprintf(sb, `<%s base-uri="%s">`, elElement, escapeAttr(base))
+		sb.WriteString("<" + elElement)
+		writeEscAttr(sb, "base-uri", base)
+		sb.WriteByte('>')
 		_ = xdm.Serialize(sb, n)
-		fmt.Fprintf(sb, "</%s>", elElement)
+		sb.WriteString("</" + elElement + ">")
 	}
+}
+
+// decodedDocURI names a document decoded from a message: prefix plus a
+// process-wide sequence number, so no two decoded documents share a URI.
+func decodedDocURI(prefix string) string {
+	var buf [40]byte
+	return string(strconv.AppendUint(append(buf[:0], prefix...), decodedDocSeq.Add(1), 10))
 }
 
 // ---------------------------------------------------------------- decode --
@@ -383,7 +396,7 @@ func decodeFragments(fragsEl *xdm.Node) (*decodeState, error) {
 		if !nameIs(f, elFragment) {
 			return nil, fmt.Errorf("xrpc: unexpected %s in fragments", f.Name)
 		}
-		d := xdm.NewDocument(fmt.Sprintf("xrpc-fragment://%d", decodedDocSeq.Add(1)))
+		d := xdm.NewDocument(decodedDocURI("xrpc-fragment://"))
 		// Adopt the fragment subtrees instead of deep-copying them: the
 		// message tree is transient and nothing reads fragment content
 		// through it after this point. Freeze renumbers the adopted nodes
@@ -481,7 +494,7 @@ func decodeValueCopy(item *xdm.Node) (*xdm.Node, error) {
 		a.BaseURI = base
 		return a, nil
 	case elTextNode, elCommentEl:
-		d := xdm.NewDocument(fmt.Sprintf("xrpc-value://%d", decodedDocSeq.Add(1)))
+		d := xdm.NewDocument(decodedDocURI("xrpc-value://"))
 		var n *xdm.Node
 		if nameIs(item, elTextNode) {
 			n = xdm.NewText(item.StringValue())
@@ -493,7 +506,7 @@ func decodeValueCopy(item *xdm.Node) (*xdm.Node, error) {
 		d.Freeze()
 		return n, nil
 	case elDocumentEl, elElement:
-		d := xdm.NewDocument(fmt.Sprintf("xrpc-value://%d", decodedDocSeq.Add(1)))
+		d := xdm.NewDocument(decodedDocURI("xrpc-value://"))
 		// Adopt the copied content out of the transient message tree (see
 		// decodeFragments).
 		for _, c := range item.Children {

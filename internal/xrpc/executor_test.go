@@ -12,9 +12,12 @@ import (
 // TestOneExecutor pins the one-executor contract: every evaluation entry
 // point — the engine's four and the server's two — lowers the query it runs
 // to a compiled Program. Where the caller owns the query, the Program must
-// sit on its CompiledArtifact; the server parses the shipped module into a
-// query of its own per request, so there the engine's compile counter is the
-// evidence (it counts exactly the lowerings that attach a fresh artifact).
+// sit on its CompiledArtifact; the server keeps the queries of shipped
+// modules inside its module cache, so there the engine's compile counter is
+// the evidence (it counts exactly the lowerings that attach a fresh
+// artifact). The counter also pins the cache's contract: a module shipped
+// again is compiled once, whichever entry point serves it, while modules
+// seen only once are compiled each and never admitted.
 func TestOneExecutor(t *testing.T) {
 	const module = `declare function f($x as item()*) as item()* { for $i in $x return $i * 2 };`
 	args := []xdm.Sequence{{xdm.NewInteger(1), xdm.NewInteger(2), xdm.NewInteger(3)}}
@@ -94,4 +97,39 @@ func TestOneExecutor(t *testing.T) {
 			}
 		})
 	}
+	t.Run("Server module cache", func(t *testing.T) {
+		e := eval.NewEngine(nil)
+		srv := &Server{Engine: e}
+		for i := 0; i < 3; i++ {
+			var err error
+			if i == 1 {
+				err = srv.HandleStream(request, func([]byte) error { return nil })
+			} else {
+				_, err = srv.Handle(request)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := e.StatsSnapshot().Compilations; n != 1 {
+			t.Errorf("one module in three requests: %d compilations, want 1", n)
+		}
+		if n, _ := srv.modules.size(); n != 1 {
+			t.Errorf("one module in three requests: %d admitted entries, want 1", n)
+		}
+
+		e = eval.NewEngine(nil)
+		srv = &Server{Engine: e}
+		for _, k := range []string{"2", "3", "4"} {
+			if _, err := srv.Handle(incrementalRequest(t, `for $i in (1, 2, 3) return $i * `+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := e.StatsSnapshot().Compilations; n != 3 {
+			t.Errorf("three distinct modules: %d compilations, want 3", n)
+		}
+		if n, _ := srv.modules.size(); n != 0 {
+			t.Errorf("three modules seen once: %d admitted entries, want 0", n)
+		}
+	})
 }

@@ -166,7 +166,8 @@ func (t *HTTPTransport) RoundTripStream(ctx context.Context, peer string, reques
 const maxFrameBytes = 256 << 20
 
 func writeFrame(w io.Writer, frame []byte) error {
-	if _, err := fmt.Fprintf(w, "%d\n", len(frame)); err != nil {
+	var head [21]byte
+	if _, err := w.Write(append(strconv.AppendInt(head[:0], int64(len(frame)), 10), '\n')); err != nil {
 		return err
 	}
 	_, err := w.Write(frame)

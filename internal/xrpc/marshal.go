@@ -1,9 +1,9 @@
 package xrpc
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
@@ -37,44 +37,45 @@ func MarshalRequest(r *Request, paramUsed, paramReturned []projection.PathSet, o
 	if err := st.buildFragments(seqs, paramOf); err != nil {
 		return nil, err
 	}
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s>", elBody)
-	fmt.Fprintf(&sb,
-		`<%s method="%s" arity="%d" semantics="%s" base-uri="%s" collation="%s" datetime="%s"`,
-		elRequest, escapeAttr(r.Method), r.Arity, r.Semantics,
-		escapeAttr(r.Static.BaseURI), escapeAttr(r.Static.DefaultCollation),
-		escapeAttr(r.Static.CurrentDateTime))
+	var sb bytes.Buffer
+	sb.WriteString(envelopeOpen + "<" + elBody + "><" + elRequest)
+	writeEscAttr(&sb, "method", r.Method)
+	writeIntAttr(&sb, "arity", int64(r.Arity))
+	writeAttr(&sb, "semantics", r.Semantics.String())
+	writeEscAttr(&sb, "base-uri", r.Static.BaseURI)
+	writeEscAttr(&sb, "collation", r.Static.DefaultCollation)
+	writeEscAttr(&sb, "datetime", r.Static.CurrentDateTime)
 	if r.BudgetNS > 0 {
-		fmt.Fprintf(&sb, ` budget-ns="%d"`, r.BudgetNS)
+		writeIntAttr(&sb, "budget-ns", r.BudgetNS)
 	}
 	if r.TraceID != 0 {
-		fmt.Fprintf(&sb, ` trace-id="%d" span-id="%d"`, r.TraceID, r.TraceSpan)
+		writeUintAttr(&sb, "trace-id", r.TraceID)
+		writeUintAttr(&sb, "span-id", r.TraceSpan)
 	}
-	sb.WriteString(">")
-	fmt.Fprintf(&sb, "<%s>%s</%s>", elModule, escapeText(r.Module), elModule)
+	sb.WriteByte('>')
+	writeTextEl(&sb, elModule, r.Module)
 	if r.Semantics == ByProjection {
-		fmt.Fprintf(&sb, "<%s>", elProjPaths)
+		sb.WriteString("<" + elProjPaths + ">")
 		for _, p := range r.ResultUsed {
-			fmt.Fprintf(&sb, "<%s>%s</%s>", elUsedPath, escapeText(p.String()), elUsedPath)
+			writeTextEl(&sb, elUsedPath, p.String())
 		}
 		for _, p := range r.ResultReturned {
-			fmt.Fprintf(&sb, "<%s>%s</%s>", elRetPath, escapeText(p.String()), elRetPath)
+			writeTextEl(&sb, elRetPath, p.String())
 		}
-		fmt.Fprintf(&sb, "</%s>", elProjPaths)
+		sb.WriteString("</" + elProjPaths + ">")
 	}
 	st.writeFragments(&sb)
 	for _, call := range r.Calls {
-		fmt.Fprintf(&sb, "<%s>", elCall)
+		sb.WriteString("<" + elCall + ">")
 		for _, s := range call {
 			if err := st.writeSequence(&sb, s); err != nil {
 				return nil, err
 			}
 		}
-		fmt.Fprintf(&sb, "</%s>", elCall)
+		sb.WriteString("</" + elCall + ">")
 	}
-	fmt.Fprintf(&sb, "</%s></%s></env:Envelope>", elRequest, elBody)
-	return []byte(sb.String()), nil
+	sb.WriteString("</" + elRequest + "></" + elBody + "></env:Envelope>")
+	return sb.Bytes(), nil
 }
 
 // ParseRequest shreds a request message: fragments become fresh documents
@@ -168,22 +169,23 @@ func MarshalResponse(resp *Response, resultUsed, resultReturned projection.PathS
 	if err := st.buildFragments(resp.Results, nil); err != nil {
 		return nil, err
 	}
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s>", elBody)
-	fmt.Fprintf(&sb, `<%s semantics="%s" exec-ns="%d" serde-ns="%d">`,
-		elResponse, resp.Semantics, resp.ExecNanos, resp.SerializeNanos)
+	var sb bytes.Buffer
+	sb.WriteString(envelopeOpen + "<" + elBody + "><" + elResponse)
+	writeAttr(&sb, "semantics", resp.Semantics.String())
+	writeIntAttr(&sb, "exec-ns", resp.ExecNanos)
+	writeIntAttr(&sb, "serde-ns", resp.SerializeNanos)
+	sb.WriteByte('>')
 	writeTraceEl(&sb, resp.Spans)
 	st.writeFragments(&sb)
 	for _, res := range resp.Results {
-		fmt.Fprintf(&sb, "<%s>", elCall)
+		sb.WriteString("<" + elCall + ">")
 		if err := st.writeSequence(&sb, res); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(&sb, "</%s>", elCall)
+		sb.WriteString("</" + elCall + ">")
 	}
-	fmt.Fprintf(&sb, "</%s></%s></env:Envelope>", elResponse, elBody)
-	return []byte(sb.String()), nil
+	sb.WriteString("</" + elResponse + "></" + elBody + "></env:Envelope>")
+	return sb.Bytes(), nil
 }
 
 // ParseResponse shreds a response message.
@@ -260,21 +262,20 @@ func (f *Fault) Is(target error) bool {
 // MarshalFault renders an error as a SOAP fault message, carrying the typed
 // failure class (when the error has one) as an env:Code child.
 func MarshalFault(err error) []byte {
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s><env:Fault>", elBody)
+	var sb bytes.Buffer
+	sb.WriteString(envelopeOpen + "<" + elBody + "><env:Fault>")
 	if code := faultCode(err); code != "" {
-		fmt.Fprintf(&sb, "<env:Code>%s</env:Code>", escapeText(code))
+		writeTextEl(&sb, "env:Code", code)
 	}
-	fmt.Fprintf(&sb, "<env:Reason>%s</env:Reason>", escapeText(err.Error()))
+	writeTextEl(&sb, "env:Reason", err.Error())
 	writeTraceEl(&sb, faultSpans(err))
-	fmt.Fprintf(&sb, "</env:Fault></%s></env:Envelope>", elBody)
-	return []byte(sb.String())
+	sb.WriteString("</env:Fault></" + elBody + "></env:Envelope>")
+	return sb.Bytes()
 }
 
 // writeTraceEl emits the piggybacked-span element when spans are present;
 // untraced messages stay byte-identical to the pre-trace wire form.
-func writeTraceEl(sb *strings.Builder, spans []trace.Span) {
+func writeTraceEl(sb *bytes.Buffer, spans []trace.Span) {
 	if len(spans) == 0 {
 		return
 	}
@@ -282,7 +283,7 @@ func writeTraceEl(sb *strings.Builder, spans []trace.Span) {
 	if err != nil {
 		return // dropping spans never fails a message
 	}
-	fmt.Fprintf(sb, "<%s>%s</%s>", elTrace, escapeText(string(data)), elTrace)
+	writeTextEl(sb, elTrace, string(data))
 }
 
 // parseTraceEl decodes a piggybacked-span child of el, nil when absent or

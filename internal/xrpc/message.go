@@ -21,6 +21,7 @@
 package xrpc
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -151,14 +152,80 @@ const envelopeOpen = `<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-en
 // atomTypeName maps atomic types to their lexical message form.
 func atomTypeName(t xdm.AtomType) string { return t.String() }
 
-func writeAtomic(sb *strings.Builder, a xdm.Atomic) {
-	fmt.Fprintf(sb, `<%s type="%s">%s</%s>`, elAtomic, atomTypeName(a.T),
-		escapeText(a.ItemString()), elAtomic)
+func writeAtomic(b *bytes.Buffer, a xdm.Atomic) {
+	b.WriteString("<" + elAtomic)
+	writeAttr(b, "type", atomTypeName(a.T))
+	b.WriteByte('>')
+	if a.T == xdm.TInteger {
+		var num [20]byte
+		b.Write(strconv.AppendInt(num[:0], a.I, 10))
+	} else {
+		writeText(b, a.ItemString())
+	}
+	b.WriteString("</" + elAtomic + ">")
 }
+
+// The message writers below append straight to the message buffer with
+// WriteString and strconv.Append*, never through fmt: the codecs run for
+// every exchange and every stream frame, and formatting through reflection
+// was a measurable share of each.
 
 var msgTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
 
-func escapeText(s string) string { return msgTextEscaper.Replace(s) }
+// writeText writes s escaped as element content.
+func writeText(b *bytes.Buffer, s string) { _, _ = msgTextEscaper.WriteString(b, s) }
+
+var attrEscaperMsg = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+
+// writeTextEl writes <el>s</el>, s escaped as element content.
+func writeTextEl(b *bytes.Buffer, el, s string) {
+	b.WriteByte('<')
+	b.WriteString(el)
+	b.WriteByte('>')
+	writeText(b, s)
+	b.WriteString("</")
+	b.WriteString(el)
+	b.WriteByte('>')
+}
+
+// writeAttr writes ` name="value"` with value written as is: callers pass
+// values that need no escaping (enumerations, type names).
+func writeAttr(b *bytes.Buffer, name, value string) {
+	b.WriteByte(' ')
+	b.WriteString(name)
+	b.WriteString(`="`)
+	b.WriteString(value)
+	b.WriteByte('"')
+}
+
+// writeEscAttr writes ` name="value"` with value escaped.
+func writeEscAttr(b *bytes.Buffer, name, value string) {
+	b.WriteByte(' ')
+	b.WriteString(name)
+	b.WriteString(`="`)
+	_, _ = attrEscaperMsg.WriteString(b, value)
+	b.WriteByte('"')
+}
+
+// writeIntAttr writes ` name="n"`.
+func writeIntAttr(b *bytes.Buffer, name string, n int64) {
+	var num [20]byte
+	writeAttrBytes(b, name, strconv.AppendInt(num[:0], n, 10))
+}
+
+// writeUintAttr writes ` name="n"`.
+func writeUintAttr(b *bytes.Buffer, name string, n uint64) {
+	var num [20]byte
+	writeAttrBytes(b, name, strconv.AppendUint(num[:0], n, 10))
+}
+
+func writeAttrBytes(b *bytes.Buffer, name string, value []byte) {
+	b.WriteByte(' ')
+	b.WriteString(name)
+	b.WriteString(`="`)
+	b.Write(value)
+	b.WriteByte('"')
+}
 
 func parseAtomicEl(n *xdm.Node) (xdm.Atomic, error) {
 	tname := "xs:string"

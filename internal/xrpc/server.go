@@ -32,13 +32,18 @@ type Server struct {
 	// pre-incremental behavior. It exists as the baseline the incremental
 	// figure and the lazy-vs-eager equivalence tests compare against.
 	EagerStream bool
+
+	// modules caches parsed shipped modules across requests (modcache.go);
+	// Handle and HandleStream share it, and it dies with the Server.
+	modules moduleCache
 }
 
 var _ Handler = (*Server)(nil)
 var _ StreamHandler = (*Server)(nil)
 
-// prepare shreds the request message and compiles the shipped module — the
-// common front half of Handle and HandleStream.
+// prepare shreds the request message and looks its shipped module up in
+// the module cache, parsing it on a miss — the common front half of Handle
+// and HandleStream. The engine compiles the module on its first call.
 func (s *Server) prepare(request []byte) (req *Request, q *xq.Query, static *eval.StaticContext, shredNS int64, err error) {
 	if s.Engine == nil {
 		return nil, nil, nil, 0, fmt.Errorf("xrpc: server has no engine")
@@ -49,7 +54,7 @@ func (s *Server) prepare(request []byte) (req *Request, q *xq.Query, static *eva
 		return nil, nil, nil, 0, err
 	}
 	shredNS = time.Since(t0).Nanoseconds()
-	q, err = xq.ParseQuery(req.Module + "\n0")
+	q, err = s.modules.load(req.Module)
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("xrpc: shipped module does not parse: %w", err)
 	}

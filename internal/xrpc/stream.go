@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"distxq/internal/eval"
@@ -86,20 +85,21 @@ type ResponseChunk struct {
 // result paths apply per chunk, exactly as MarshalResponse applies them to
 // whole results.
 func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projection.PathSet, opts projection.Options) ([]byte, error) {
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s>", elBody)
+	var sb bytes.Buffer
+	sb.WriteString(envelopeOpen + "<" + elBody + "><" + elChunk)
+	writeIntAttr(&sb, "seq", int64(ch.Seq))
 	if ch.Last {
+		sb.WriteString(` last="true"`)
+		writeIntAttr(&sb, "calls", int64(ch.Calls))
+		writeIntAttr(&sb, "serde-ns", ch.SerializeNanos)
 		if len(ch.Spans) > 0 {
-			fmt.Fprintf(&sb, `<%s seq="%d" last="true" calls="%d" serde-ns="%d">`,
-				elChunk, ch.Seq, ch.Calls, ch.SerializeNanos)
+			sb.WriteByte('>')
 			writeTraceEl(&sb, ch.Spans)
-			fmt.Fprintf(&sb, "</%s>", elChunk)
+			sb.WriteString("</" + elChunk + ">")
 		} else {
 			// Untraced terminal frames keep the pre-trace self-closing form,
 			// byte-identical for old goldens and parsers.
-			fmt.Fprintf(&sb, `<%s seq="%d" last="true" calls="%d" serde-ns="%d"/>`,
-				elChunk, ch.Seq, ch.Calls, ch.SerializeNanos)
+			sb.WriteString("/>")
 		}
 	} else {
 		st := &encodeState{
@@ -111,16 +111,20 @@ func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projecti
 		if err := st.buildFragments([]xdm.Sequence{ch.Items}, nil); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(&sb, `<%s seq="%d" call="%d" first-item="%d" semantics="%s" exec-ns="%d" serde-ns="%d">`,
-			elChunk, ch.Seq, ch.Call, ch.FirstItem, ch.Semantics, ch.ExecNanos, ch.SerializeNanos)
+		writeIntAttr(&sb, "call", int64(ch.Call))
+		writeIntAttr(&sb, "first-item", int64(ch.FirstItem))
+		writeAttr(&sb, "semantics", ch.Semantics.String())
+		writeIntAttr(&sb, "exec-ns", ch.ExecNanos)
+		writeIntAttr(&sb, "serde-ns", ch.SerializeNanos)
+		sb.WriteByte('>')
 		st.writeFragments(&sb)
 		if err := st.writeSequence(&sb, ch.Items); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(&sb, "</%s>", elChunk)
+		sb.WriteString("</" + elChunk + ">")
 	}
-	fmt.Fprintf(&sb, "</%s></env:Envelope>", elBody)
-	return []byte(sb.String()), nil
+	sb.WriteString("</" + elBody + "></env:Envelope>")
+	return sb.Bytes(), nil
 }
 
 // ParseResponseChunk shreds one stream frame. A fault frame surfaces as a
@@ -179,9 +183,15 @@ func ParseResponseChunk(data []byte) (*ResponseChunk, error) {
 // value is written in the payload open tag, which precedes any payload
 // bytes, so the first occurrence of the placeholder is always the attribute.
 func patchSerdeNS(data []byte, old, new int64) []byte {
-	return bytes.Replace(data,
-		[]byte(fmt.Sprintf(`serde-ns="%d"`, old)),
-		[]byte(fmt.Sprintf(`serde-ns="%d"`, new)), 1)
+	var o, n [40]byte
+	return bytes.Replace(data, appendSerdeNS(o[:0], old), appendSerdeNS(n[:0], new), 1)
+}
+
+// appendSerdeNS appends the serde-ns attribute as writeIntAttr writes it,
+// without the leading space.
+func appendSerdeNS(b []byte, ns int64) []byte {
+	b = append(b, `serde-ns="`...)
+	return append(strconv.AppendInt(b, ns, 10), '"')
 }
 
 // chunkWriter emits the ordered chunk frames of one streamed response. It

@@ -475,7 +475,7 @@ func TestStreamBackpressureBounded(t *testing.T) {
 
 	cl := &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{},
 		Streamed: true, BufferChunks: buffer}
-	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
+	x := constantExpr(t)
 	lanes, cancel := cl.Dispatch(x, []eval.ScatterBatch{
 		{Target: "p", Iterations: [][]xdm.Sequence{{}}},
 	})
@@ -513,7 +513,7 @@ func TestStreamedConsumerAbandon(t *testing.T) {
 	tr := &scriptedStream{frames: collectFrames(t, resp, 1), consumed: &consumed}
 	cl := &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{},
 		Streamed: true, BufferChunks: 1}
-	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
+	x := constantExpr(t)
 	lanes, cancel := cl.Dispatch(x, []eval.ScatterBatch{
 		{Target: "p", Iterations: [][]xdm.Sequence{{}}},
 	})
@@ -589,4 +589,15 @@ func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 	if len(s.Waves) != 10 {
 		t.Fatalf("waves = %d, want 10 single-lane waves", len(s.Waves))
 	}
+}
+
+// constantExpr is a rendered, parameterless execute-at expression whose
+// shipped body is the literal 1, for tests that script the server side.
+func constantExpr(t *testing.T) *xq.XRPCExpr {
+	t.Helper()
+	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
+	if err := xq.RenderModules(&xq.Query{Body: x}); err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
